@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -517,6 +518,12 @@ def evaluate_claim(claim_id: str, seed: int = 0) -> ClaimReport:
         computed = None
         certificates = {"budget_error": str(exc)}
         status = "skipped-budget"
+    except Exception as exc:
+        # one broken claim must not cost the report for the others
+        computed = None
+        certificates = {"error": f"{type(exc).__name__}: {exc}",
+                        "traceback": traceback.format_exc()}
+        status = "fail"
     elapsed = time.perf_counter() - start
     return ClaimReport(claim_id, spec.description, spec.expected, spec.tag,
                        computed, status, certificates, elapsed)

@@ -14,13 +14,24 @@ The closure of an initial set is the unique fixed point of iterating a rule
 minimum size of a set whose closure is everything is the zero forcing number
 for that rule: Z under standard, Z_minus under skew, Z_plus under psd.
 
-The solver enumerates subsets by increasing cardinality per connected
-component and sums the component minima (all three parameters are additive
-over components; in particular an isolated vertex always costs 1, since no
-rule lets anything force a vertex with no neighbours).  Search effort is
-metered: every closure evaluation spends budget, and exceeding the budget or
-the per-component order cap raises BudgetExceededError rather than
-degrading to an approximation.
+The solver works per connected component and sums the component minima
+(all three parameters are additive over components; in particular an
+isolated vertex always costs 1, since no rule lets anything force a vertex
+with no neighbours).  A fort is the complement of a proper closed set, and a
+set forces everything exactly when it meets every fort, so each component
+minimum is a minimum hitting set of its forts (the fort cover of Brimkov,
+Fast and Hicks, EJOR 2019).  Forts are generated lazily: a set that fails to
+close is grown, one vertex at a time while it stays proper, into a maximal
+closed set whose complement is a minimal fort.  A depth-first search branches
+on the unhit fort with the fewest allowed vertices, bans each vertex once
+tried, prunes when a greedy packing of disjoint unhit forts needs more picks
+than are left, and runs the real closure at every leaf.  Cardinalities are
+searched in increasing order from a proven lower bound in the component's
+minimum degree delta: Z >= delta, Z_plus >= treewidth >= delta and
+Z_minus >= delta - 1.  Every value is therefore decided by exhaustive proof.
+Search effort is metered: every closure evaluation and every branch node
+spends budget, and exceeding the budget or the per-component order cap
+raises BudgetExceededError rather than degrading to an approximation.
 
 Certificates use a deterministic tie-break so witnesses are byte-stable: at
 every step the lexicographically least eligible (actor, target) pair fires.
@@ -93,6 +104,12 @@ class ForcingCertificate:
 
 @dataclass(frozen=True)
 class ZfResult:
+    """Exact minimum, a replayable witness, and the search steps spent.
+
+    ``explored`` counts closure evaluations plus branch nodes of the fort
+    search, summed over components; it is the budget the solve used.
+    """
+
     value: int
     witness: ForcingCertificate
     explored: int
@@ -283,34 +300,82 @@ class _Budget:
         self.remaining -= amount
         self.spent += amount
         if self.remaining < 0:
-            raise BudgetExceededError(
-                f"closure-evaluation budget exhausted after {self.spent} evaluations")
+            raise BudgetExceededError(f"budget exhausted after {self.spent} steps")
 
 
-def _subsets_of_size(n: int, k: int):
-    # Gosper's hack: all n-bit masks of popcount k in increasing numeric order.
-    if k == 0:
-        yield 0
-        return
-    mask = (1 << k) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        c = mask & -mask
-        r = mask + c
-        mask = r | ((mask ^ r) >> 2) // c
-    return
+def _lower_bound(adj, rule: Rule) -> int:
+    """Z >= delta, Z_plus >= tw >= delta and Z_minus >= delta - 1."""
+    delta = min((row.bit_count() for row in adj), default=0)
+    return max(delta - 1, 0) if rule is Rule.SKEW else delta
 
 
 def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
+    """Minimum forcing set as a minimum hitting set of lazily generated forts
+    (see the module docstring); returns (size, mask)."""
     full = (1 << n) - 1
     close = _FAST_CLOSE[rule]
-    for k in range(n + 1):
-        for mask in _subsets_of_size(n, k):
+    forts: list[int] = []
+
+    def minimal_fort(closed: int) -> int:
+        # grow the proper closed set to a maximal one; its complement is a
+        # minimal fort
+        for v in bits(full & ~closed):
+            low = 1 << v
+            if closed & low:
+                continue
             budget.spend()
-            if close(adj, n, full, mask) == full:
-                return k, mask
-    raise AssertionError("unreachable: the full vertex set always closes")
+            grown = close(adj, n, full, closed | low)
+            if grown != full:
+                closed = grown
+        return full & ~closed
+
+    def search(chosen: int, banned: int, left: int, unhit: list[int]) -> Optional[int]:
+        # unhit: the known forts that miss chosen.  Every fort found below
+        # this node misses chosen too, so it is appended here on the way back.
+        budget.spend()
+        while not unhit:
+            budget.spend()
+            closed = close(adj, n, full, chosen)
+            if closed == full:
+                return chosen
+            fort = minimal_fort(closed)
+            forts.append(fort)
+            unhit.append(fort)
+        if left == 0:
+            return None
+        allowed = sorted((f & ~banned for f in unhit), key=int.bit_count)
+        if not allowed[0]:
+            return None
+        # forts with pairwise-disjoint allowed parts each need their own pick
+        disjoint, used = 0, 0
+        for f in allowed:
+            if not f & used:
+                used |= f
+                disjoint += 1
+                if disjoint > left:
+                    return None
+        for v in bits(allowed[0]):
+            low = 1 << v
+            known = len(forts)
+            found = search(chosen | low, banned, left - 1, [f for f in unhit if not f & low])
+            if found is not None:
+                return found
+            unhit.extend(forts[known:])
+            banned |= low
+        return None
+
+    k = _lower_bound(adj, rule)
+    try:
+        while (found := search(0, 0, k, list(forts))) is None:
+            k += 1
+    except BudgetExceededError:
+        raise BudgetExceededError(
+            f"{rule.value} search on a component of order {n} exhausted its budget "
+            f"after {budget.spent} steps") from None
+    if found.bit_count() != k:
+        raise AssertionError(
+            f"fort search found {found.bit_count()} vertices at cardinality {k}")
+    return k, found
 
 
 _zf_cache: dict[tuple, ZfResult] = {}
@@ -324,7 +389,7 @@ def zero_forcing_number(g: Graph, rule: Rule, *,
 
     Searches each connected component separately (the parameter is additive
     over components) unless ``per_component`` is off, which forces a single
-    whole-graph enumeration and exists for cross-checking additivity.
+    whole-graph search and exists for cross-checking additivity.
     Successful results for the default budget are cached per
     (graph, rule, cap, mode); passing an explicit budget bypasses the cache.
     """

@@ -106,6 +106,22 @@ def test_budget_exhaustion_reports_skipped(monkeypatch):
     assert "budget_error" in report.certificates
 
 
+def test_raising_claim_reports_fail_with_traceback(monkeypatch):
+    def broken_claim(seed):
+        raise ZeroDivisionError("division by zero in a claim body")
+
+    broken = dict(claims.REGISTRY)
+    spec = broken["fig1.Z.left"]
+    broken["fig1.Z.left"] = claims._Claim(spec.description, spec.tag, spec.expected,
+                                          broken_claim)
+    monkeypatch.setattr(claims, "REGISTRY", broken)
+    report = evaluate_claim("fig1.Z.left")
+    assert report.status == "fail" and report.computed is None
+    assert report.certificates["error"] == \
+        "ZeroDivisionError: division by zero in a claim body"
+    assert "broken_claim" in report.certificates["traceback"]
+
+
 def test_sweep_claims_pass_for_any_seed():
     for seed in (0, 1, 17):
         report = evaluate_claim("join.laplacian_identity.sweep", seed=seed)

@@ -214,6 +214,19 @@ def test_load_graph_formats(tmp_path):
 
 
 def test_error_json_written(tmp_path, capsys, monkeypatch):
+    # an error outside every claim aborts the command with an error record
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(claims, "run_claims", boom)
+    out_path = tmp_path / "err.json"
+    code = main(["verify-paper", "--only", "fig1.Z.left", "--json", str(out_path)])
+    capsys.readouterr()
+    assert code == 1
+    assert json.loads(out_path.read_text()) == {"error": "boom"}
+
+
+def test_raising_claim_fails_alone_in_the_report(tmp_path, capsys, monkeypatch):
     def boom(seed):
         raise ValueError("boom")
 
@@ -221,8 +234,12 @@ def test_error_json_written(tmp_path, capsys, monkeypatch):
     spec = broken["fig1.Z.left"]
     broken["fig1.Z.left"] = claims._Claim(spec.description, spec.tag, spec.expected, boom)
     monkeypatch.setattr(claims, "REGISTRY", broken)
-    out_path = tmp_path / "err.json"
-    code = main(["verify-paper", "--only", "fig1.Z.left", "--json", str(out_path)])
+    out_path = tmp_path / "report.json"
+    code = main(["verify-paper", "--only", "fig1.Z", "--json", str(out_path)])
     capsys.readouterr()
     assert code == 1
-    assert json.loads(out_path.read_text()) == {"error": "boom"}
+    payload = json.loads(out_path.read_text())
+    assert payload["summary"] == {"pass": 5, "fail": 1, "skipped": 0}
+    left = next(c for c in payload["claims"] if c["claim_id"] == "fig1.Z.left")
+    assert left["status"] == "fail"
+    assert left["certificates"]["error"] == "ValueError: boom"

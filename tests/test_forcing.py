@@ -6,10 +6,12 @@ from zfforge.forcing import (BudgetExceededError, ForcingCertificate, Rule,
                              closure, default_budget, rule_from_name,
                              verify_certificate, zero_forcing_number,
                              zf_join_formula_check)
-from zfforge.graphs import (complete, cycle, disjoint_union, empty, ex32_g,
+from zfforge.graphs import (complete, components, cycle, disjoint_union, empty, ex32_g,
                             ex32_gprime, fig1_left, fig1_right, from_edges,
-                            grid_lattice, join, mask_from, path)
+                            grid_lattice, induced_subgraph, join, mask_from, path)
 from zfforge.randgraphs import random_connected_graph, random_graph, random_subset_mask
+
+from oracles import gosper_minimum
 
 ALL_RULES = (Rule.STANDARD, Rule.SKEW, Rule.PSD)
 
@@ -175,10 +177,13 @@ def test_component_additivity_against_whole_graph_search():
 
 
 def test_budget_and_order_cap_errors():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         zero_forcing_number(fig1_left(), Rule.STANDARD, budget=5)
-    with pytest.raises(BudgetExceededError):
+    message = str(info.value)
+    assert "order 10" in message and "standard" in message and "6 steps" in message
+    with pytest.raises(BudgetExceededError) as info:
         zero_forcing_number(grid_lattice(4), Rule.STANDARD, budget=10 ** 6, order_cap=10)
+    assert "order 16" in str(info.value)
 
 
 def test_budget_env_override(monkeypatch):
@@ -307,3 +312,33 @@ def test_batch_and_stepper_closures_agree():
         stepped, cert = closure(g, rule, s)
         assert fast == stepped
         assert verify_certificate(g, cert, require_all_blue=False)
+
+
+def _starting_bound(g, rule):
+    # Z >= delta, Z_plus >= tw >= delta, Z_minus >= delta - 1
+    delta = min((row.bit_count() for row in g.adj), default=0)
+    return max(delta - 1, 0) if rule is Rule.SKEW else delta
+
+
+def test_fort_search_matches_gosper_oracle():
+    rng = random.Random(251)
+    fixtures = [empty(0), empty(1), empty(3), disjoint_union(path(4), empty(2))]
+    fixtures += [complete(n) for n in range(1, 11)]
+    while len(fixtures) < 220:
+        n = rng.randint(1, 10)
+        fixtures.append(random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.7, 0.9))))
+    disconnected = isolated = 0
+    for g in fixtures:
+        comps = components(g)
+        disconnected += len(comps) > 1
+        isolated += any(not g.adj[v] for v in range(g.n))
+        for rule in ALL_RULES:
+            result = zero_forcing_number(g, rule, budget=10 ** 6)
+            value = gosper_minimum(g, rule)
+            assert result.value == value
+            assert verify_certificate(g, result.witness)
+            assert len(result.witness.initial) == value
+            for comp in comps:
+                sub, _verts = induced_subgraph(g, comp)
+                assert gosper_minimum(sub, rule) >= _starting_bound(sub, rule)
+    assert disconnected >= 50 and isolated >= 30
