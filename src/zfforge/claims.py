@@ -408,7 +408,7 @@ def _(seed):
     m = dict(pair.params)["m"]
     direct = graphs.disjoint_union(graphs.join(g2, graphs.path(m)), g1)
     iso, mapping = graphs.is_isomorphic(pair.g_prime, direct)
-    return iso, {"mapping": list(mapping) if mapping else None}
+    return iso, {"mapping": list(mapping) if iso else None}
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def _cmd_iso(args) -> int:
     h = load_graph(args.input2, args.format)
     iso, mapping = graphs.is_isomorphic(g, h)
     print(json.dumps({"isomorphic": iso,
-                      "mapping": list(mapping) if mapping else None},
+                      "mapping": list(mapping) if iso else None},
                      indent=2, sort_keys=True))
     return 0
 

@@ -44,7 +44,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .graphs import Graph, bits, components, induced_subgraph, is_connected, join, mask_components
+from .graphs import (BudgetExceededError, Graph, bits, components, induced_subgraph,
+                     is_connected, join, mask_components)
 
 DEFAULT_ORDER_CAP = 24
 _DEFAULT_BUDGET = 10 ** 8
@@ -63,10 +64,6 @@ def rule_from_name(name: str) -> Rule:
         return Rule(name.lower())
     except ValueError:
         raise ValueError(f"rule must be standard, skew or psd; got {name!r}") from None
-
-
-class BudgetExceededError(RuntimeError):
-    """Search would exceed the closure-evaluation budget or order cap."""
 
 
 def default_budget() -> int:

@@ -6,6 +6,13 @@ the orders this package handles (capped at 64).  Vertex sets are plain ints
 used as bitmasks throughout; ``mask_from`` and ``bits`` convert between masks
 and vertex iterables.
 
+Isomorphism is decided by individualisation-refinement: joint colour
+refinement of both graphs, then branching on one vertex of the smallest
+non-trivial colour class with a refinement after every choice.  A "no" is an
+exhaustive proof; a "yes" returns one checked mapping, which may be any
+isomorphism.  One call may spend at most ``ISO_NODE_CAP`` individualisation
+nodes and raises BudgetExceededError past it.
+
 Product and join operators use row-major vertex order: the vertex (u, u') of
 a product of g and h sits at index u * h.n + u', and a join places all of g
 before all of h.  Certificates elsewhere in the package reference these
@@ -18,10 +25,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 ORDER_CAP = 64
+ISO_NODE_CAP = 50_000  # individualisation nodes one is_isomorphic call may spend
 
 
 class GraphError(ValueError):
     pass
+
+
+class BudgetExceededError(RuntimeError):
+    """A search would exceed its step budget or order cap."""
 
 
 class UnknownGraphError(GraphError):
@@ -372,16 +384,20 @@ def is_connected(g: Graph) -> bool:
 # isomorphism
 # ---------------------------------------------------------------------------
 
-def _joint_refine(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
-    # Iterated neighbourhood refinement with one colour table shared by both
-    # graphs so colours stay comparable across them.
-    cg = [g.degree(v) for v in range(g.n)]
-    ch = [h.degree(v) for v in range(h.n)]
-    ncolors = len(set(cg) | set(ch))
+def _joint_refine(g: list[tuple[int, ...]], h: list[tuple[int, ...]],
+                  cg: list[int], ch: list[int]) -> Optional[tuple[list[int], list[int]]]:
+    # Refine both colourings to equitable ones with one colour table, so a
+    # colour means the same thing in both graphs.  ``g`` and ``h`` are
+    # neighbour lists.  None as soon as the two sides stop matching: then no
+    # isomorphism respects the colourings given.
+    ncolors = len(set(cg))
     while True:
-        keys_g = [(cg[v], tuple(sorted(cg[u] for u in bits(g.adj[v])))) for v in range(g.n)]
-        keys_h = [(ch[v], tuple(sorted(ch[u] for u in bits(h.adj[v])))) for v in range(h.n)]
-        table = {k: i for i, k in enumerate(sorted(set(keys_g) | set(keys_h)))}
+        keys_g = [(cg[v], tuple(sorted([cg[u] for u in nbrs]))) for v, nbrs in enumerate(g)]
+        keys_h = [(ch[v], tuple(sorted([ch[u] for u in nbrs]))) for v, nbrs in enumerate(h)]
+        ordered = sorted(keys_g)
+        if ordered != sorted(keys_h):
+            return None
+        table = {k: i for i, k in enumerate(dict.fromkeys(ordered))}
         cg = [table[k] for k in keys_g]
         ch = [table[k] for k in keys_h]
         if len(table) == ncolors:
@@ -390,7 +406,18 @@ def _joint_refine(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Decide isomorphism by colour refinement plus backtracking.
+    """Decide isomorphism by individualisation-refinement.
+
+    Both graphs are refined jointly to equitable colourings.  While g's
+    colouring is not discrete, the first vertex of its smallest non-singleton
+    class is given a fresh colour and tried against every vertex of the same
+    class in h, refining again after each choice (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014).  A discrete colouring fixes a mapping,
+    which counts only if it carries every row of g onto the row of h.  A "no"
+    is therefore an exhaustive proof, and a "yes" comes with a checked
+    mapping; when several isomorphisms exist, the one returned is any of
+    them.  Every individualisation spends one node; past ``ISO_NODE_CAP``
+    nodes the search raises BudgetExceededError.
 
     Returns (True, mapping) with mapping[v] the image of v, or (False, None).
     """
@@ -399,49 +426,40 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     n = g.n
     if n == 0:
         return True, ()
-    cg, ch = _joint_refine(g, h)
-    if sorted(cg) != sorted(ch):
-        return False, None
+    nbrs_g = [tuple(bits(row)) for row in g.adj]
+    nbrs_h = [tuple(bits(row)) for row in h.adj]
+    nodes = 0
 
-    color_mask_h: dict[int, int] = {}
-    for w, c in enumerate(ch):
-        color_mask_h[c] = color_mask_h.get(c, 0) | 1 << w
-    cand = [color_mask_h.get(cg[v], 0) for v in range(n)]
-    full = (1 << n) - 1
-    img = [-1] * n
-    state = [0, 0]  # mapped source mask, mapped image mask
+    def search(cg: list[int], ch: list[int]) -> Optional[tuple[int, ...]]:
+        nonlocal nodes
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(cg):
+            cells.setdefault(c, []).append(v)
+        if len(cells) == n:
+            where = {c: w for w, c in enumerate(ch)}
+            mapping = tuple(where[c] for c in cg)
+            return mapping if relabel(g, mapping).adj == h.adj else None
+        color = min((c for c, cell in cells.items() if len(cell) > 1),
+                    key=lambda c: (len(cells[c]), c))
+        v = cells[color][0]
+        for w in (w for w, c in enumerate(ch) if c == color):
+            nodes += 1
+            if nodes > ISO_NODE_CAP:
+                raise BudgetExceededError(
+                    f"isomorphism search at order {n} exceeded the cap of "
+                    f"{ISO_NODE_CAP} individualisation nodes ({nodes} spent)")
+            cg2, ch2 = cg[:], ch[:]
+            cg2[v] = ch2[w] = len(cells)
+            refined = _joint_refine(nbrs_g, nbrs_h, cg2, ch2)
+            if refined is not None:
+                found = search(*refined)
+                if found is not None:
+                    return found
+        return None
 
-    def pick() -> int:
-        # most-constrained next vertex: maximal mapped neighbourhood, lowest index
-        best, bestv = -1, -1
-        for v in bits(full & ~state[0]):
-            c = (g.adj[v] & state[0]).bit_count()
-            if c > best:
-                best, bestv = c, v
-        return bestv
-
-    def extend() -> bool:
-        if state[0] == full:
-            return True
-        v = pick()
-        required = 0
-        for u in bits(g.adj[v] & state[0]):
-            required |= 1 << img[u]
-        for w in bits(cand[v] & ~state[1]):
-            if h.adj[w] & state[1] == required:
-                img[v] = w
-                state[0] |= 1 << v
-                state[1] |= 1 << w
-                if extend():
-                    return True
-                state[0] &= ~(1 << v)
-                state[1] &= ~(1 << w)
-                img[v] = -1
-        return False
-
-    if extend():
-        return True, tuple(img)
-    return False, None
+    refined = _joint_refine(nbrs_g, nbrs_h, [0] * n, [0] * n)
+    mapping = None if refined is None else search(*refined)
+    return (False, None) if mapping is None else (True, mapping)
 
 
 # ---------------------------------------------------------------------------

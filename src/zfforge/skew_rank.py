@@ -13,6 +13,10 @@ D a nonzero diagonal) to one whose entries along a spanning forest are +1,
 and congruence preserves both rank and pattern.  The exhaustive search
 therefore pins forest entries to +1 and ranges the remaining entries over
 {1, 2, 3} with both signs, which keeps desk-scale patterns enumerable.
+Each sample is written into one integer matrix per component and ranked by
+fraction-free integer elimination, which is exact over the rationals; the
+final witness is replayed independently with Fraction arithmetic
+(exact_rank).
 
 Trap, documented on purpose: a GENERIC (random full-support) realisation
 attains the pattern's maximum rank, i.e. its minimum nullity.  Nothing here
@@ -102,6 +106,33 @@ def _rank_of(g: Graph, entry_map: Mapping[tuple[int, int], Fraction]) -> int:
     return rank
 
 
+def _int_rank(mat: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination.
+
+    Every entry after k pivots is a (k+1)-minor of the input, so each
+    division by the previous pivot is exact.  ``mat`` is left untouched.
+    """
+    m = [row[:] for row in mat]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        prow = m[rank]
+        p = prow[col]
+        for row in m[rank + 1:]:
+            a = row[col]
+            for c in range(col + 1, ncols):
+                row[c] = (row[c] * p - a * prow[c]) // prev
+            row[col] = 0
+        prev = p
+        rank += 1
+    return rank
+
+
 def exact_rank(witness: SkewWitness) -> int:
     """Rank of the realised matrix over the rationals; always even."""
     return _rank_of(witness.graph, witness.entry_map())
@@ -151,6 +182,9 @@ def max_nullity_witness_search(g: Graph, *,
         free = [e for e in edges if e not in tree]
         pinned = {e: Fraction(1) for e in edges if e in tree}
         grid = len(_ENTRY_CHOICES) ** len(free)
+        mat = [[0] * sub.n for _ in range(sub.n)]
+        for i, j in pinned:
+            mat[i][j], mat[j][i] = 1, -1
 
         if grid <= exhaustive_cap and grid <= remaining:
             assignments = itertools.product(_ENTRY_CHOICES, repeat=len(free))
@@ -167,9 +201,9 @@ def max_nullity_witness_search(g: Graph, *,
                 certified = False
                 break
             remaining -= 1
-            entry_map = dict(pinned)
-            entry_map.update({e: Fraction(v) for e, v in zip(free, values)})
-            rank = _rank_of(sub, entry_map)
+            for (i, j), value in zip(free, values):
+                mat[i][j], mat[j][i] = value, -value
+            rank = _int_rank(mat)
             if best_rank is None or rank < best_rank:
                 best_rank, best_values = rank, values
 

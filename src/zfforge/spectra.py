@@ -4,8 +4,12 @@ All spectral statements in this package reduce to equality of integer
 polynomial coefficient vectors, so nothing here ever touches floating point.
 Characteristic polynomials det(xI - M) are computed with the Berkowitz
 scheme, which is division-free: only big-integer additions and
-multiplications occur.  An independent fraction-free determinant (Bareiss)
-is provided as a cross-check oracle for tests.
+multiplications occur.  The nonzero entries of the trailing submatrix are
+listed as it grows, so the bordering products visit only those nonzeros;
+graph matrices are sparse, and the integers computed are the same as a
+dense loop's.  The dense loop, a fraction-free (Bareiss) determinant and
+a rational-root finder are kept as independent oracles in the test suite
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -86,19 +90,27 @@ def _berkowitz(m: list[list[int]], n: int) -> list[int]:
     # Coefficients of det(xI - M), built up one principal submatrix at a time.
     # Each step multiplies by a lower-triangular Toeplitz matrix whose column
     # is [1, -a, -R C, -R B C, -R B^2 C, ...] for the current bordering.
+    # ``trail`` lists the nonzero (row, column, value) entries of the trailing
+    # submatrix B, so the products B^k C visit only its nonzeros.
     poly = [1]
+    trail: list[tuple[int, int, int]] = []
     for i in range(n - 1, -1, -1):
         size = n - i
-        a = m[i][i]
-        col = [1, -a]
-        if size > 1:
-            r = m[i][i + 1:]
-            v = [m[t][i] for t in range(i + 1, n)]
-            for j in range(1, size):
-                col.append(-sum(r[t] * v[t] for t in range(size - 1)))
-                if j < size - 1:
-                    v = [sum(m[i + 1 + s][i + 1 + t] * v[t] for t in range(size - 1))
-                         for s in range(size - 1)]
+        r = [(t, m[i][t]) for t in range(i + 1, n) if m[i][t]]
+        c = [0] * (i + 1) + [m[t][i] for t in range(i + 1, n)]
+        col = [1, -m[i][i]]
+        v = c
+        for j in range(1, size):
+            col.append(-sum(x * v[t] for t, x in r))
+            if j < size - 1:
+                w = [0] * n
+                for s, t, x in trail:
+                    w[s] += x * v[t]
+                v = w
+        trail += [(s, i, c[s]) for s in range(i + 1, n) if c[s]]
+        trail += [(i, t, x) for t, x in r]
+        if m[i][i]:
+            trail.append((i, i, m[i][i]))
         new = [0] * (size + 1)
         for cidx, pc in enumerate(poly):
             if pc:
@@ -227,59 +239,3 @@ def regular_join_adjacency_check(g: Graph, h: Graph) -> bool:
     quad = [1, -(r + rp), r * rp - g.n * h.n]
     rhs = _pmul(_pmul(list(char_poly(g).coeffs), list(char_poly(h).coeffs)), quad)
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# independent oracles used by the test suite
-# ---------------------------------------------------------------------------
-
-def det_exact(matrix: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) integer determinant; independent of Berkowitz."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def integer_roots(cp: CharPoly) -> dict[int, int]:
-    """Integer roots with multiplicity, via the rational root theorem."""
-    coeffs = list(cp.coeffs)
-    roots: dict[int, int] = {}
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        roots[0] = roots.get(0, 0) + 1
-        coeffs.pop()
-    if len(coeffs) == 1:
-        return roots
-    const = abs(coeffs[-1])
-    candidates = sorted({d for d in range(1, const + 1) if const % d == 0})
-    for base in candidates:
-        for r in (base, -base):
-            while True:
-                # synthetic division by (x - r)
-                q = [coeffs[0]]
-                for c in coeffs[1:]:
-                    q.append(c + r * q[-1])
-                if q[-1] != 0:
-                    break
-                roots[r] = roots.get(r, 0) + 1
-                coeffs = q[:-1]
-                if len(coeffs) == 1:
-                    return roots
-    return roots

@@ -2,6 +2,7 @@
 
 from zfforge.forcing import _FAST_CLOSE
 from zfforge.graphs import Graph
+from zfforge.spectra import CharPoly
 
 
 def subsets_of_size(n: int, k: int):
@@ -27,3 +28,83 @@ def gosper_minimum(g: Graph, rule) -> int:
             if close(g.adj, g.n, g.full_mask, mask) == g.full_mask:
                 return k
     raise AssertionError("unreachable: the full vertex set always closes")
+
+
+def dense_berkowitz(m: list[list[int]], n: int) -> list[int]:
+    """Coefficients of det(xI - M) by the dense Berkowitz loop: every
+    bordering product runs over the whole trailing submatrix."""
+    poly = [1]
+    for i in range(n - 1, -1, -1):
+        size = n - i
+        a = m[i][i]
+        col = [1, -a]
+        if size > 1:
+            r = m[i][i + 1:]
+            v = [m[t][i] for t in range(i + 1, n)]
+            for j in range(1, size):
+                col.append(-sum(r[t] * v[t] for t in range(size - 1)))
+                if j < size - 1:
+                    v = [sum(m[i + 1 + s][i + 1 + t] * v[t] for t in range(size - 1))
+                         for s in range(size - 1)]
+        new = [0] * (size + 1)
+        for cidx, pc in enumerate(poly):
+            if pc:
+                for j, cj in enumerate(col):
+                    ridx = cidx + j
+                    if ridx <= size:
+                        new[ridx] += cj * pc
+        poly = new
+    return poly
+
+
+def det_exact(matrix: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) integer determinant; independent of Berkowitz."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def integer_roots(cp: CharPoly) -> dict[int, int]:
+    """Integer roots with multiplicity, via the rational root theorem.  The
+    divisor loop is linear in the constant term, so keep inputs small."""
+    coeffs = list(cp.coeffs)
+    roots: dict[int, int] = {}
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        roots[0] = roots.get(0, 0) + 1
+        coeffs.pop()
+    if len(coeffs) == 1:
+        return roots
+    const = abs(coeffs[-1])
+    candidates = sorted({d for d in range(1, const + 1) if const % d == 0})
+    for base in candidates:
+        for r in (base, -base):
+            while True:
+                # synthetic division by (x - r)
+                q = [coeffs[0]]
+                for c in coeffs[1:]:
+                    q.append(c + r * q[-1])
+                if q[-1] != 0:
+                    break
+                roots[r] = roots.get(r, 0) + 1
+                coeffs = q[:-1]
+                if len(coeffs) == 1:
+                    return roots
+    return roots

@@ -78,6 +78,13 @@ def test_iso(capsys):
     assert payload["isomorphic"] is True and len(payload["mapping"]) == 5
 
 
+def test_iso_order_zero_prints_empty_mapping(capsys):
+    # "?" is the graph6 string of the order-0 graph; its mapping is empty, not absent
+    code, out, _ = run(capsys, "iso", "?", "?", "--format", "graph6")
+    assert code == 0
+    assert json.loads(out) == {"isomorphic": True, "mapping": []}
+
+
 def test_gm_switch(capsys):
     code, out, _ = run(capsys, "gm-switch", "grid_lattice:4", "--parts", "0,5,10,15")
     assert code == 0

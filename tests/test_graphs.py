@@ -11,7 +11,11 @@ from zfforge.graphs import (Graph, GraphError, OrderCapError, UnknownGraphError,
                             is_connected, is_isomorphic, iterated_join, join,
                             line_graph, mask_from, parse_edgelist, parse_graph6,
                             path, relabel, tensor)
-from zfforge.randgraphs import random_graph
+from zfforge import claims, graphs
+from zfforge.constructions import (gm_switch, planted_switching_instance,
+                                   regular_construction, shrikhande)
+from zfforge.forcing import BudgetExceededError
+from zfforge.randgraphs import random_graph, random_regular_graph
 
 
 def test_build_named_complete_triangle():
@@ -256,6 +260,90 @@ def test_isomorphism_matches_canonical_form_oracle():
             for u in range(n):
                 for v in range(u + 1, n):
                     assert g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
+
+
+def _assert_checked(g, h, iso, mapping):
+    # a "yes" must come with a mapping that carries g exactly onto h
+    if iso:
+        assert relabel(g, mapping) == h
+    else:
+        assert mapping is None
+
+
+def _to_nx(nx, graph):
+    out = nx.Graph()
+    out.add_nodes_from(range(graph.n))
+    out.add_edges_from(graph.edges())
+    return out
+
+
+def test_isomorphism_matches_networkx_vf2():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    pairs = []
+    for _ in range(40):  # relabelled random graphs, sparse to dense
+        g = random_graph(rng, rng.randint(1, 24), rng.choice((0.1, 0.3, 0.5, 0.8)))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        pairs.append((g, relabel(g, tuple(perm))))
+    for _ in range(30):  # planted switching pairs: cospectral, often non-isomorphic
+        g, partition = planted_switching_instance(rng, 6, 24)
+        pairs.append((g, gm_switch(g, partition)))
+    for _ in range(40):  # same degree sequence: two random k-regular graphs
+        n = rng.randint(4, 20)
+        k = rng.choice([k for k in range(1, min(n, 6)) if n * k % 2 == 0])
+        pairs.append((random_regular_graph(rng, n, k), random_regular_graph(rng, n, k)))
+    verdicts = set()
+    for g, h in pairs:
+        iso, mapping = is_isomorphic(g, h)
+        assert iso == nx.is_isomorphic(_to_nx(nx, g), _to_nx(nx, h))
+        _assert_checked(g, h, iso, mapping)
+        verdicts.add(iso)
+    assert verdicts == {True, False}
+
+
+def test_regular_construction_pairs_are_not_isomorphic():
+    for k in range(2, 11):
+        pair = regular_construction(k)
+        assert is_isomorphic(pair.g, pair.g_prime) == (False, None)
+
+
+def test_isomorphism_hard_symmetric_pairs():
+    # strongly regular with equal parameters: refinement alone cannot split them
+    assert is_isomorphic(grid_lattice(4), shrikhande()) == (False, None)
+    # both halves share one colour class, so the first candidate image of a
+    # rook vertex is a Shrikhande vertex and the search must backtrack
+    both = disjoint_union(grid_lattice(4), shrikhande())
+    swap = tuple((v + 16) % 32 for v in range(32))
+    rng = random.Random(43)
+    for g, perm in ((both, swap), (complete(24), None), (cycle(24), None),
+                    (grid_lattice(5), None), (empty(12), None),
+                    (disjoint_union(cycle(5), cycle(5)), None)):
+        if perm is None:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+        h = relabel(g, tuple(perm))
+        iso, mapping = is_isomorphic(g, h)
+        assert iso
+        _assert_checked(g, h, iso, mapping)
+
+
+def test_isomorphism_order_zero_and_one():
+    assert is_isomorphic(empty(0), empty(0)) == (True, ())
+    assert is_isomorphic(empty(1), empty(1)) == (True, (0,))
+
+
+def test_isomorphism_node_cap_raises(monkeypatch):
+    monkeypatch.setattr(graphs, "ISO_NODE_CAP", 3)
+    g = complete(8)
+    with pytest.raises(BudgetExceededError) as info:
+        is_isomorphic(g, relabel(g, (7, 6, 5, 4, 3, 2, 1, 0)))
+    message = str(info.value)
+    assert "order 8" in message and "4 spent" in message
+    assert BudgetExceededError is graphs.BudgetExceededError
+    report = claims.evaluate_claim("fig1.noniso")
+    assert report.status == "skipped-budget"
+    assert "order 10" in report.certificates["budget_error"]
 
 
 def test_graph6_k2():

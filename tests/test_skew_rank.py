@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from zfforge.forcing import Rule, zero_forcing_number
-from zfforge.graphs import complete, cycle, empty, ex32_g, ex32_gprime, from_edges, path
+from zfforge.graphs import (complete, cycle, empty, ex32_g, ex32_gprime, fig1_left,
+                            from_edges, path)
 from zfforge.randgraphs import random_graph
-from zfforge.skew_rank import SkewWitness, exact_rank, max_nullity_witness_search
+from zfforge.skew_rank import (SkewWitness, _int_rank, _rank_of, exact_rank,
+                               max_nullity_witness_search)
 
 
 def _witness(g, entries):
@@ -128,3 +130,44 @@ def test_witness_json_roundtrip():
     back = SkewWitness.from_json(g, data)
     assert back.entries == witness.entries
     assert exact_rank(back) == exact_rank(witness)
+
+
+def test_int_rank_matches_fraction_elimination():
+    rng = random.Random(317)
+    for _ in range(240):
+        g = random_graph(rng, rng.randint(0, 10), rng.choice((0.2, 0.5, 0.8)))
+        entries = {e: rng.choice((1, -1, 2, -2, 3, -3, 7, -12)) for e in g.edges()}
+        mat = [[0] * g.n for _ in range(g.n)]
+        for (i, j), v in entries.items():
+            mat[i][j], mat[j][i] = v, -v
+        before = [row[:] for row in mat]
+        assert _int_rank(mat) == _rank_of(g, entries)
+        assert mat == before  # the search reuses one matrix across samples
+
+
+def test_int_rank_rectangular_and_degenerate():
+    assert _int_rank([]) == 0
+    assert _int_rank([[0, 0], [0, 0]]) == 0
+    assert _int_rank([[2, 4, 6], [1, 2, 3]]) == 1
+    assert _int_rank([[0, 1, 2], [0, 2, 5], [0, 0, 0]]) == 2
+
+
+# fig1_left witnesses recorded with Fraction elimination in the search; ranking
+# integer matrices must reproduce them byte for byte
+_FIG1_LEFT_WITNESS = {
+    0: [[0, 1, "1"], [0, 5, "1"], [0, 7, "1"], [0, 9, "1"], [1, 2, "1"], [1, 6, "-2"],
+        [1, 7, "3"], [2, 3, "1"], [2, 6, "1"], [2, 8, "1"], [3, 4, "3"], [3, 7, "2"],
+        [3, 8, "-2"], [4, 5, "-2"], [4, 8, "3"], [4, 9, "1"], [5, 6, "-3"], [5, 9, "-3"],
+        [6, 9, "1"], [7, 8, "-1"]],
+    1009: [[0, 1, "1"], [0, 5, "1"], [0, 7, "1"], [0, 9, "1"], [1, 2, "2"], [1, 6, "1"],
+           [1, 7, "-1"], [2, 3, "1"], [2, 6, "1"], [2, 8, "1"], [3, 4, "1"], [3, 7, "-2"],
+           [3, 8, "2"], [4, 5, "1"], [4, 8, "-1"], [4, 9, "1"], [5, 6, "2"], [5, 9, "-3"],
+           [6, 9, "1"], [7, 8, "3"]],
+}
+
+
+def test_fig1_left_witness_is_pinned():
+    for seed, edges in _FIG1_LEFT_WITNESS.items():
+        witness = max_nullity_witness_search(fig1_left(), seed=seed)
+        assert witness.to_json() == {"edges": edges, "nullity": 2,
+                                     "certified": False, "seed": seed}

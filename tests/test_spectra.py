@@ -7,10 +7,11 @@ from zfforge.graphs import (complete, complete_bipartite, cycle, ex32_g,
                             path, relabel, tensor)
 from zfforge.randgraphs import random_graph, random_regular_graph
 from zfforge.spectra import (CharPoly, MatrixKind, char_poly, cospectral,
-                             det_exact, integer_roots, kind_from_letter,
-                             laplacian_join_identity_check, matrix_of,
-                             regular_cospectral_report,
+                             kind_from_letter, laplacian_join_identity_check,
+                             matrix_of, regular_cospectral_report,
                              regular_join_adjacency_check)
+
+from oracles import dense_berkowitz, det_exact, integer_roots
 
 ALL_KINDS = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS_LAPLACIAN)
 
@@ -58,6 +59,28 @@ def test_charpoly_at_zero_matches_independent_determinant():
             m = matrix_of(g, kind)
             p = char_poly(g, kind)
             assert p(0) == (-1) ** g.n * det_exact(m)
+
+
+def test_charpoly_matches_dense_berkowitz_oracle():
+    rng = random.Random(113)
+    graphs = [random_graph(rng, rng.randint(0, 24), p)
+              for p in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95) for _ in range(10)]
+    graphs += [complete(12), cycle(17), grid_lattice(4)]
+    for g in graphs:
+        for kind in ALL_KINDS:
+            m = matrix_of(g, kind)
+            assert list(char_poly(g, kind).coeffs) == dense_berkowitz(m, g.n)
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(127)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(1, 20), rng.choice((0.15, 0.5, 0.85)))
+        for kind in ALL_KINDS:
+            expected = sympy.Matrix(matrix_of(g, kind)).charpoly(x).all_coeffs()
+            assert list(char_poly(g, kind).coeffs) == [int(c) for c in expected]
 
 
 def test_ex32_pair_cospectral():
