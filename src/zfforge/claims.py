@@ -106,6 +106,11 @@ def _grid_pair():
 
 
 @lru_cache(maxsize=None)
+def _grid_pair_zplus(which: int):
+    return _zf_claim(_grid_pair()[which], Rule.PSD)
+
+
+@lru_cache(maxsize=None)
 def _thm51():
     return cons.theorem51_build()
 
@@ -257,20 +262,14 @@ _claim("tensor.Zminus.Gprime", "skew forcing number of spider x K3", "paper", 9)
 # cartesian / psd: rook's grids and the switched mate
 # ---------------------------------------------------------------------------
 
-def _zplus_rook(r: int):
-    def fn(seed):
-        return _zf_claim(graphs.grid_lattice(r), Rule.PSD)
-    return fn
-
-
-_claim("cartesian.Zplus.r2", "psd forcing number of the 2x2 rook's graph", "paper", 2)(_zplus_rook(2))
-_claim("cartesian.Zplus.r3", "psd forcing number of the 3x3 rook's graph", "paper", 5)(_zplus_rook(3))
-_claim("cartesian.Zplus.r4", "psd forcing number of the 4x4 rook's graph", "paper", 10)(_zplus_rook(4))
-
-
-@_claim("cartesian.Zplus.shrikhande", "psd forcing number of the switched mate", "paper", 9)
-def _(seed):
-    return _zf_claim(cons.shrikhande(), Rule.PSD)
+_claim("cartesian.Zplus.r2", "psd forcing number of the 2x2 rook's graph", "paper", 2)(
+    lambda seed: _zf_claim(graphs.grid_lattice(2), Rule.PSD))
+_claim("cartesian.Zplus.r3", "psd forcing number of the 3x3 rook's graph", "paper", 5)(
+    lambda seed: _zf_claim(graphs.grid_lattice(3), Rule.PSD))
+_claim("cartesian.Zplus.r4", "psd forcing number of the 4x4 rook's graph", "paper", 10)(
+    lambda seed: _grid_pair_zplus(0))
+_claim("cartesian.Zplus.shrikhande", "psd forcing number of the switched mate", "paper", 9)(
+    lambda seed: _grid_pair_zplus(1))
 
 
 @_claim("cartesian.cospectral.A", "rook's grid and switched mate are adjacency-cospectral", "paper", True)
@@ -288,7 +287,7 @@ def _(seed):
 
 @_claim("cartesian.bound.r11", "product bound separation at r = 11 (99 < 100)", "paper", True)
 def _(seed):
-    report = cons.grid_shrikhande_report(11)
+    report = cons.grid_shrikhande_report(11, _grid_pair_zplus(0)[0], _grid_pair_zplus(1)[0])
     return report.separation_holds, {"report": report.to_json()}
 
 

@@ -510,11 +510,13 @@ class GridShrikhandeReport:
                 "separation_holds": self.separation_holds}
 
 
-def grid_shrikhande_report(r: int) -> GridShrikhandeReport:
+def grid_shrikhande_report(r: int, zplus_grid: int, zplus_switched: int) -> GridShrikhandeReport:
     """PSD forcing separation for (rook's grid) box K_r, by bound arithmetic.
 
-    The two 16-vertex ingredients are solved exactly; the 16r-vertex products
-    are far beyond exact search, so the separation uses the product bounds
+    ``zplus_grid`` and ``zplus_switched`` are the exact psd forcing numbers of
+    the two 16-vertex ingredients, solved by the caller with
+    ``zero_forcing_number``; the 16r-vertex products are far beyond exact
+    search, so the separation uses the product bounds
         upper(switched) = min(r * zplus_switched, 16 (r - 1))
         lower(grid)     = zplus_grid * (r - 1)
     which separate exactly when r >= 11.
@@ -523,15 +525,13 @@ def grid_shrikhande_report(r: int) -> GridShrikhandeReport:
         raise ValueError("the product separation needs r >= 11")
     grid = graphs.grid_lattice(4)
     mate = shrikhande()
-    zp_grid = zero_forcing_number(grid, Rule.PSD).value
-    zp_mate = zero_forcing_number(mate, Rule.PSD).value
-    upper = min(r * zp_mate, 16 * (r - 1))
-    lower = zp_grid * (r - 1)
+    upper = min(r * zplus_switched, 16 * (r - 1))
+    lower = zplus_grid * (r - 1)
     iso, _ = is_isomorphic(grid, mate)
     return GridShrikhandeReport(
         r=r,
-        zplus_grid=zp_grid,
-        zplus_switched=zp_mate,
+        zplus_grid=zplus_grid,
+        zplus_switched=zplus_switched,
         adjacency_cospectral=cospectral(grid, mate, MatrixKind.ADJACENCY),
         isomorphic=iso,
         product_upper_bound=upper,

@@ -13,6 +13,11 @@ The closure of an initial set is the unique fixed point of iterating a rule
 (the rules are confluent, so firing order never changes the final set).  The
 minimum size of a set whose closure is everything is the zero forcing number
 for that rule: Z under standard, Z_minus under skew, Z_plus under psd.
+The rules share one force condition, written once in ``_close``: they differ
+only in who may act (the blue vertices, or every vertex under skew) and in
+which white set the exactly-one test looks at (all white vertices, or the
+target's white component under psd).  The fort search and the certificate
+closure both call it.
 
 The solver works per connected component and sums the component minima
 (all three parameters are additive over components; in particular an
@@ -32,6 +37,7 @@ Z_minus >= delta - 1.  Every value is therefore decided by exhaustive proof.
 Search effort is metered: every closure evaluation and every branch node
 spends budget, and exceeding the budget or the per-component order cap
 raises BudgetExceededError rather than degrading to an approximation.
+Nothing is remembered between solves: every call searches from scratch.
 
 Certificates use a deterministic tie-break so witnesses are byte-stable: at
 every step the lexicographically least eligible (actor, target) pair fires.
@@ -120,117 +126,59 @@ def _as_mask(initial: VertexSetLike, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fast batch closures (value search); fire every snapshot-legal force per pass
+# the force condition, written once for all three rules
 # ---------------------------------------------------------------------------
 
-def _close_standard(adj, n, full, blue):
+def _close(adj, full, blue, skew, psd, trace=None):
+    """Closure of ``blue`` in the graph with rows ``adj`` and vertex mask ``full``.
+
+    The actors are the blue vertices, or every vertex under skew.  An actor
+    forces a white neighbour that is its only neighbour among the white
+    vertices, or under psd in that neighbour's white component.  A pass
+    visits the actors in order and fires each force when it finds it (psd
+    keeps the components from the start of the pass: they only split, so the
+    forces stay legal).  A pass that fires nothing ends the closure.  With a
+    ``trace`` list a pass stops at its first force, the lexicographically
+    least (actor, target) pair, and appends it.
+    """
+    vertices = range(full.bit_length())
     while True:
         white = full & ~blue
         if not white:
             return blue
-        newly = 0
-        b = blue
-        while b:
-            low = b & -b
-            b ^= low
-            wn = adj[low.bit_length() - 1] & white
-            if wn and not wn & (wn - 1):
-                newly |= wn
-        if not newly:
-            return blue
-        blue |= newly
-
-
-def _close_skew(adj, n, full, blue):
-    while True:
-        white = full & ~blue
-        if not white:
-            return blue
-        newly = 0
-        for u in range(n):
-            wn = adj[u] & white
-            if wn and not wn & (wn - 1):
-                newly |= wn
-        if not newly:
-            return blue
-        blue |= newly
-
-
-def _close_psd(adj, n, full, blue):
-    while True:
-        white = full & ~blue
-        if not white:
-            return blue
-        comps = mask_components(adj, white)
-        newly = 0
-        b = blue
-        while b:
-            low = b & -b
-            b ^= low
-            row = adj[low.bit_length() - 1]
-            if not row & white:
+        comps = mask_components(adj, white) if psd else ()
+        start = blue
+        for u in vertices:
+            if not (skew or blue >> u & 1):
                 continue
-            for comp in comps:
-                wn = row & comp
-                if wn and not wn & (wn - 1):
-                    newly |= wn
-        if not newly:
+            row = adj[u] & white
+            if not psd:
+                newly = row if row and not row & (row - 1) else 0
+            else:
+                newly = 0
+                if row:
+                    for comp in comps:
+                        wn = row & comp
+                        if wn and not wn & (wn - 1):
+                            newly |= wn
+            if newly:
+                if trace is not None:
+                    newly &= -newly
+                    trace.append((u, newly.bit_length() - 1))
+                    blue |= newly
+                    break
+                blue |= newly
+                white &= ~newly
+        if blue == start:
             return blue
-        blue |= newly
-
-
-_FAST_CLOSE = {Rule.STANDARD: _close_standard,
-               Rule.SKEW: _close_skew,
-               Rule.PSD: _close_psd}
-
-
-# ---------------------------------------------------------------------------
-# deterministic single-step closure (certificates)
-# ---------------------------------------------------------------------------
-
-def _eligible_targets(g: Graph, rule: Rule, blue: int, actor: int) -> int:
-    """Mask of vertices the actor may force right now under the rule."""
-    white = g.full_mask & ~blue
-    row = g.adj[actor] & white
-    if not row:
-        return 0
-    if rule is Rule.STANDARD:
-        if not blue >> actor & 1:
-            return 0
-        return row if not row & (row - 1) else 0
-    if rule is Rule.SKEW:
-        return row if not row & (row - 1) else 0
-    # psd: split white neighbours by white component
-    if not blue >> actor & 1:
-        return 0
-    targets = 0
-    for comp in mask_components(g.adj, white):
-        wn = row & comp
-        if wn and not wn & (wn - 1):
-            targets |= wn
-    return targets
-
-
-def _first_force(g: Graph, rule: Rule, blue: int) -> Optional[tuple[int, int]]:
-    for actor in range(g.n):
-        targets = _eligible_targets(g, rule, blue, actor)
-        if targets:
-            return actor, (targets & -targets).bit_length() - 1
-    return None
 
 
 def closure(g: Graph, rule: Rule, initial: VertexSetLike) -> tuple[int, ForcingCertificate]:
     """Closure of the initial set, with a deterministic force-by-force trace."""
     blue = _as_mask(initial, g.n)
-    start = tuple(bits(blue))
-    forces = []
-    while True:
-        nxt = _first_force(g, rule, blue)
-        if nxt is None:
-            break
-        forces.append(nxt)
-        blue |= 1 << nxt[1]
-    return blue, ForcingCertificate(rule, start, tuple(forces))
+    forces: list[tuple[int, int]] = []
+    final = _close(g.adj, g.full_mask, blue, rule is Rule.SKEW, rule is Rule.PSD, forces)
+    return final, ForcingCertificate(rule, tuple(bits(blue)), tuple(forces))
 
 
 def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: bool = True) -> bool:
@@ -310,7 +258,7 @@ def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
     """Minimum forcing set as a minimum hitting set of lazily generated forts
     (see the module docstring); returns (size, mask)."""
     full = (1 << n) - 1
-    close = _FAST_CLOSE[rule]
+    skew, psd = rule is Rule.SKEW, rule is Rule.PSD
     forts: list[int] = []
 
     def minimal_fort(closed: int) -> int:
@@ -321,7 +269,7 @@ def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
             if closed & low:
                 continue
             budget.spend()
-            grown = close(adj, n, full, closed | low)
+            grown = _close(adj, full, closed | low, skew, psd)
             if grown != full:
                 closed = grown
         return full & ~closed
@@ -332,7 +280,7 @@ def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
         budget.spend()
         while not unhit:
             budget.spend()
-            closed = close(adj, n, full, chosen)
+            closed = _close(adj, full, chosen, skew, psd)
             if closed == full:
                 return chosen
             fort = minimal_fort(closed)
@@ -375,9 +323,6 @@ def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
     return k, found
 
 
-_zf_cache: dict[tuple, ZfResult] = {}
-
-
 def zero_forcing_number(g: Graph, rule: Rule, *,
                         budget: Optional[int] = None,
                         order_cap: int = DEFAULT_ORDER_CAP,
@@ -387,13 +332,7 @@ def zero_forcing_number(g: Graph, rule: Rule, *,
     Searches each connected component separately (the parameter is additive
     over components) unless ``per_component`` is off, which forces a single
     whole-graph search and exists for cross-checking additivity.
-    Successful results for the default budget are cached per
-    (graph, rule, cap, mode); passing an explicit budget bypasses the cache.
     """
-    cacheable = budget is None
-    key = (g.adj, rule, order_cap, per_component)
-    if cacheable and key in _zf_cache:
-        return _zf_cache[key]
     state = _Budget(default_budget() if budget is None else budget)
 
     initial = 0
@@ -416,10 +355,7 @@ def zero_forcing_number(g: Graph, rule: Rule, *,
     final, cert = closure(g, rule, initial)
     if final != g.full_mask:
         raise AssertionError("solver witness failed deterministic replay")
-    result = ZfResult(value, cert, state.spent)
-    if cacheable:
-        _zf_cache[key] = result
-    return result
+    return ZfResult(value, cert, state.spent)
 
 
 def zf_join_formula_check(g: Graph, h: Graph, rule: Rule, *,

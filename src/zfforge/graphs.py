@@ -122,6 +122,8 @@ class Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]],
                labels: Optional[tuple[str, ...]] = None) -> Graph:
+    if not 0 <= n <= ORDER_CAP:
+        raise OrderCapError(f"order {n} outside 0..{ORDER_CAP}")
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -160,6 +162,8 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 
 def circulant(n: int, offsets: Iterable[int]) -> Graph:
+    if n < 1:
+        raise GraphError("circulant needs at least 1 vertex")
     edges = []
     for s in offsets:
         if not 0 < s % n:
@@ -237,8 +241,9 @@ def build_named(name: str, *params: int) -> Graph:
     if name == "circulant" and len(params) < 2:
         raise GraphError("circulant takes n followed by at least one offset")
     for p in params:
-        if p < 0:
-            raise GraphError(f"negative parameter {p} for {name}")
+        # every parameter is an order or a circulant offset (taken modulo the order)
+        if not 0 <= p <= ORDER_CAP:
+            raise GraphError(f"parameter {p} for {name} outside 0..{ORDER_CAP}")
     return fn(params)
 
 

@@ -1,6 +1,6 @@
 """Slow reference implementations that the tests compare fast code against."""
 
-from zfforge.forcing import _FAST_CLOSE
+from zfforge.forcing import Rule, _close
 from zfforge.graphs import Graph
 from zfforge.spectra import CharPoly
 
@@ -22,12 +22,44 @@ def subsets_of_size(n: int, k: int):
 def gosper_minimum(g: Graph, rule) -> int:
     """Brute-force minimum forcing-set size of the whole graph: every subset
     by increasing size until one closes."""
-    close = _FAST_CLOSE[rule]
+    skew, psd = rule is Rule.SKEW, rule is Rule.PSD
     for k in range(g.n + 1):
         for mask in subsets_of_size(g.n, k):
-            if close(g.adj, g.n, g.full_mask, mask) == g.full_mask:
+            if _close(g.adj, g.full_mask, mask, skew, psd) == g.full_mask:
                 return k
     raise AssertionError("unreachable: the full vertex set always closes")
+
+
+def set_closure(g: Graph, rule, initial) -> tuple[set[int], list[tuple[int, int]]]:
+    """Closure of ``initial`` straight from the rule definitions, over Python
+    sets: fire the least legal (actor, target) force until none is left, and
+    return the blue set with the forces in order.  A blue vertex (any vertex
+    under skew) forces a white neighbour that is its only neighbour among the
+    white vertices, or under psd among that neighbour's white component."""
+    nbrs = [{w for w in range(g.n) if g.has_edge(v, w)} for v in range(g.n)]
+    blue = set(initial)
+    forces = []
+
+    def white_component(v, white):
+        comp, stack = {v}, [v]
+        while stack:
+            for w in nbrs[stack.pop()] & white - comp:
+                comp.add(w)
+                stack.append(w)
+        return comp
+
+    while True:
+        white = set(range(g.n)) - blue
+        legal = [(actor, target)
+                 for actor in range(g.n) if rule.value == "skew" or actor in blue
+                 for target in nbrs[actor] & white
+                 if nbrs[actor] & (white_component(target, white) if rule.value == "psd"
+                                   else white) == {target}]
+        if not legal:
+            return blue, forces
+        actor, target = min(legal)
+        forces.append((actor, target))
+        blue.add(target)
 
 
 def dense_berkowitz(m: list[list[int]], n: int) -> list[int]:

@@ -228,14 +228,16 @@ def test_join_family_preconditions():
 
 
 def test_grid_shrikhande_report():
-    report = grid_shrikhande_report(11)
+    zplus_grid = zero_forcing_number(grid_lattice(4), Rule.PSD).value
+    zplus_switched = zero_forcing_number(shrikhande(), Rule.PSD).value
+    report = grid_shrikhande_report(11, zplus_grid, zplus_switched)
     assert report.zplus_grid == 10 and report.zplus_switched == 9
     assert report.product_upper_bound == 99
     assert report.product_lower_bound == 100
     assert report.separation_holds
     assert report.adjacency_cospectral and not report.isomorphic
     with pytest.raises(ValueError):
-        grid_shrikhande_report(10)
+        grid_shrikhande_report(10, zplus_grid, zplus_switched)
 
 
 def test_construction_pair_json():

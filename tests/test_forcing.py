@@ -6,12 +6,13 @@ from zfforge.forcing import (BudgetExceededError, ForcingCertificate, Rule,
                              closure, default_budget, rule_from_name,
                              verify_certificate, zero_forcing_number,
                              zf_join_formula_check)
-from zfforge.graphs import (complete, components, cycle, disjoint_union, empty, ex32_g,
-                            ex32_gprime, fig1_left, fig1_right, from_edges,
-                            grid_lattice, induced_subgraph, join, mask_from, path)
+from zfforge.graphs import (bits, complete, components, cycle, disjoint_union, empty,
+                            ex32_g, ex32_gprime, fig1_left, fig1_right, from_edges,
+                            grid_lattice, induced_subgraph, join, mask_components,
+                            mask_from, path)
 from zfforge.randgraphs import random_connected_graph, random_graph, random_subset_mask
 
-from oracles import gosper_minimum
+from oracles import gosper_minimum, set_closure
 
 ALL_RULES = (Rule.STANDARD, Rule.SKEW, Rule.PSD)
 
@@ -204,6 +205,11 @@ def test_deterministic_witness():
     b = zero_forcing_number(cycle(8), Rule.STANDARD, budget=10 ** 8)
     assert a.witness == b.witness and a.value == b.value == 2
     assert a.explored == b.explored > 0
+    # the default budget solves from scratch too: equal results, no shared object
+    a = zero_forcing_number(cycle(8), Rule.STANDARD)
+    b = zero_forcing_number(cycle(8), Rule.STANDARD)
+    assert (a.value, a.witness, a.explored) == (b.value, b.witness, b.explored)
+    assert a is not b
 
 
 def test_certificate_json_roundtrip():
@@ -299,19 +305,32 @@ def test_solver_matches_independent_reference():
 
 
 def test_batch_and_stepper_closures_agree():
-    # the solver's batch engine and the certificate stepper are independent
-    # implementations of the same fixed point; they must always agree
-    from zfforge.forcing import _FAST_CLOSE
+    # the fort search's batch passes and the certificate stepper share
+    # forcing._close, so each is checked against the set-based oracle,
+    # the stepper force by force
+    from zfforge.forcing import _close
 
     rng = random.Random(239)
+    cases = []
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 9))
-        rule = rng.choice(ALL_RULES)
+        cases.append((g, rng.choice(ALL_RULES), random_subset_mask(rng, g.n)))
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice((0.2, 0.35, 0.5)))
         s = random_subset_mask(rng, g.n)
-        fast = _FAST_CLOSE[rule](g.adj, g.n, g.full_mask, s)
+        cases.extend((g, rule, s) for rule in ALL_RULES)
+    split_psd = beyond_standard = 0
+    for g, rule, s in cases:
+        expected, forces = set_closure(g, rule, bits(s))
+        batch = _close(g.adj, g.full_mask, s, rule is Rule.SKEW, rule is Rule.PSD)
         stepped, cert = closure(g, rule, s)
-        assert fast == stepped
+        assert batch == stepped == mask_from(expected)
+        assert cert.forces == tuple(forces)
         assert verify_certificate(g, cert, require_all_blue=False)
+        if rule is Rule.PSD and len(mask_components(g.adj, g.full_mask & ~s)) > 1:
+            split_psd += 1
+            beyond_standard += stepped != closure(g, Rule.STANDARD, s)[0]
+    assert split_psd >= 50 and beyond_standard >= 10
 
 
 def _starting_bound(g, rule):

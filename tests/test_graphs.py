@@ -57,6 +57,11 @@ def test_build_named_errors():
         build_named("complete_bipartite", 3)
     with pytest.raises(GraphError):
         build_named("circulant", 8)
+    # rejected before anything of that size is built
+    with pytest.raises(GraphError):
+        build_named("circulant", 0, 1)
+    with pytest.raises(GraphError):
+        build_named("path", 10 ** 12)
 
 
 def test_grid_lattice_rook():
@@ -384,6 +389,8 @@ def test_edgelist():
     assert parse_edgelist("", n=3) == empty(3)
     with pytest.raises(GraphError):
         parse_edgelist("0 1 2")
+    with pytest.raises(OrderCapError):
+        parse_edgelist("0 " + "9" * 20)
 
 
 def test_mask_helpers():
