@@ -4,9 +4,18 @@ Every desk-scale numeric statement the package ships (forcing values of the
 fixture pairs, cospectrality of every construction, formula sweeps) lives
 here as one claim with a frozen id, a constant expected value carrying its
 provenance tag, and an evaluator that recomputes the value from scratch and
-attaches replayable certificates.  ``run_claims`` evaluates any id-prefix
-slice of the catalog, optionally across processes, and always reports in
-canonical id order.
+attaches replayable certificates.
+
+Most claims are one row of a table: ``_FORCING`` (an exact Z, Z+ or Z- of one
+graph under one rule), ``_COSPECTRAL`` (a pair shares its adjacency char
+poly), ``_NONISO`` (a pair is non-isomorphic), ``_REGCOSPEC`` (a regular pair
+is cospectral for every matrix) and ``_SWEEPS`` (seeded random pairs).  A
+graph cell is a thunk and a fixture cell an id prefix, which ``_fixture``
+builds on first use, so importing this module builds no graph.  Claims of
+any other shape keep a body of their own.
+
+``run_claims`` evaluates any id-prefix slice of the catalog, optionally
+across processes, and always reports in canonical id order.
 
 Claim ids are a public contract; renaming one is a breaking change.
 """
@@ -17,8 +26,8 @@ import random
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from . import constructions as cons
@@ -27,8 +36,7 @@ from .forcing import (BudgetExceededError, Rule, closure, verify_certificate,
                       zero_forcing_number, zf_join_formula_check)
 from .randgraphs import random_connected_graph, random_graph, random_regular_graph
 from .skew_rank import exact_rank, max_nullity_witness_search
-from .spectra import (MatrixKind, char_poly, cospectral,
-                      laplacian_join_identity_check,
+from .spectra import (MatrixKind, char_poly, laplacian_join_identity_check,
                       regular_cospectral_report, regular_join_adjacency_check)
 
 VERSION = "0.1.0"
@@ -46,14 +54,7 @@ class ClaimReport:
     wall_time: float
 
     def to_json(self) -> dict:
-        return {"claim_id": self.claim_id,
-                "description": self.description,
-                "expected": self.expected,
-                "tag": self.tag,
-                "computed": self.computed,
-                "status": self.status,
-                "certificates": self.certificates,
-                "wall_time": self.wall_time}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -81,43 +82,38 @@ def claim_ids() -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# shared fixtures (cached per process)
+# fixtures: one construction per id prefix, built on first use
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _fig1():
-    return graphs.fig1_left(), graphs.fig1_right()
+def _fixture(prefix: str):
+    """The construction behind the claims under ``prefix``: a pair of graphs,
+    or a ``ConstructionPair`` where claims read its params or partition."""
+    if prefix == "fig1":
+        return graphs.fig1_left(), graphs.fig1_right()
+    if prefix == "ex32":
+        return graphs.ex32_g(), graphs.ex32_gprime()
+    if prefix == "tensor":
+        return tuple(cons.tensor_family(g, 3).graph for g in _fixture("ex32"))
+    if prefix == "cartesian":
+        return graphs.grid_lattice(4), cons.shrikhande()
+    if prefix == "join.family":
+        return cons.join_family(*_fixture("fig1"), 2)
+    if prefix == "thm51":
+        return cons.theorem51_build()
+    if prefix.startswith("regular6k.k"):
+        return cons.regular_construction(int(prefix[len("regular6k.k"):]))
+    raise KeyError(f"no fixture for claim prefix {prefix!r}")
 
 
-@lru_cache(maxsize=None)
-def _ex32():
-    return graphs.ex32_g(), graphs.ex32_gprime()
+def _pair(prefix: str) -> tuple[graphs.Graph, graphs.Graph]:
+    fix = _fixture(prefix)
+    return fix if isinstance(fix, tuple) else (fix.g, fix.g_prime)
 
 
-@lru_cache(maxsize=None)
-def _tensor_products():
-    g, gp = _ex32()
-    return cons.tensor_family(g, 3), cons.tensor_family(gp, 3)
-
-
-@lru_cache(maxsize=None)
-def _grid_pair():
-    return graphs.grid_lattice(4), cons.shrikhande()
-
-
-@lru_cache(maxsize=None)
-def _grid_pair_zplus(which: int):
-    return _zf_claim(_grid_pair()[which], Rule.PSD)
-
-
-@lru_cache(maxsize=None)
-def _thm51():
-    return cons.theorem51_build()
-
-
-@lru_cache(maxsize=None)
-def _reg6k(k: int):
-    return cons.regular_construction(k)
+def _member(prefix: str, which: int) -> Callable[[], graphs.Graph]:
+    """Thunk for graph ``which`` (0 or 1) of the fixture pair under ``prefix``."""
+    return lambda: _pair(prefix)[which]
 
 
 def _zf_claim(g: graphs.Graph, rule: Rule) -> tuple[object, dict]:
@@ -130,159 +126,179 @@ def _zf_claim(g: graphs.Graph, rule: Rule) -> tuple[object, dict]:
     return (result.value if replay else "witness-replay-failed"), certs
 
 
-def _cospectral_claim(g, h, kind: MatrixKind) -> tuple[object, dict]:
-    pg, ph = char_poly(g, kind), char_poly(h, kind)
-    return pg == ph, {"char_poly_g": pg.to_json(), "char_poly_h": ph.to_json()}
-
-
 # ---------------------------------------------------------------------------
-# fig1: the smallest regular cospectral pair with a forcing separation
+# the tables: one row per claim
 # ---------------------------------------------------------------------------
 
-@_claim("fig1.cospectral.A", "fixture pair shares its adjacency char poly", "paper", True)
-def _(seed):
-    g, h = _fig1()
-    return _cospectral_claim(g, h, MatrixKind.ADJACENCY)
+# exact forcing numbers, tag "paper": (id, description, expected, graph, rule)
+_FORCING = (
+    ("fig1.Z.left", "standard forcing number of the left fixture", 6, _member("fig1", 0), Rule.STANDARD),
+    ("fig1.Z.right", "standard forcing number of the right fixture", 4, _member("fig1", 1), Rule.STANDARD),
+    ("fig1.Zplus.left", "psd forcing number of the left fixture", 5, _member("fig1", 0), Rule.PSD),
+    ("fig1.Zplus.right", "psd forcing number of the right fixture", 4, _member("fig1", 1), Rule.PSD),
+    ("fig1.Zminus.left", "skew forcing number of the left fixture", 4, _member("fig1", 0), Rule.SKEW),
+    ("fig1.Zminus.right", "skew forcing number of the right fixture", 4, _member("fig1", 1), Rule.SKEW),
+    ("ex32.Zminus.G", "skew forcing number of the cycle+isolated fixture", 3, _member("ex32", 0), Rule.SKEW),
+    ("ex32.Zminus.Gprime", "skew forcing number of the spider fixture", 1, _member("ex32", 1), Rule.SKEW),
+    ("tensor.Z.G", "standard forcing number of (cycle+isolated) x K3", 13,
+     _member("tensor", 0), Rule.STANDARD),
+    ("tensor.Zminus.G", "skew forcing number of (cycle+isolated) x K3", 13, _member("tensor", 0), Rule.SKEW),
+    ("tensor.Z.Gprime", "standard forcing number of spider x K3", 9, _member("tensor", 1), Rule.STANDARD),
+    ("tensor.Zminus.Gprime", "skew forcing number of spider x K3", 9, _member("tensor", 1), Rule.SKEW),
+    ("cartesian.Zplus.r2", "psd forcing number of the 2x2 rook's graph", 2,
+     lambda: graphs.grid_lattice(2), Rule.PSD),
+    ("cartesian.Zplus.r3", "psd forcing number of the 3x3 rook's graph", 5,
+     lambda: graphs.grid_lattice(3), Rule.PSD),
+    ("join.family.fig1.Z.left", "forcing number of left fixture joined with K2 is 2 + 6", 8,
+     _member("join.family", 0), Rule.STANDARD),
+    ("join.family.fig1.Z.right", "forcing number of right fixture joined with K2 is 2 + 4", 6,
+     _member("join.family", 1), Rule.STANDARD),
+    ("join.iterated.fig1", "one self-join of the left fixture has forcing number 10 + 6", 16,
+     lambda: graphs.iterated_join(_pair("fig1")[0], 1), Rule.STANDARD),
+    ("thm51.Z.Gprime", "forcing number of the assembled graph is 10 + 4 + 1", 15,
+     _member("thm51", 0), Rule.STANDARD),
+    ("thm51.Z.Gdoubleprime", "forcing number of the switched graph is 10 + 6 + 1", 17,
+     _member("thm51", 1), Rule.STANDARD),
+    *((f"regular6k.k{k}.ZH", f"k={k}: forcing number of the circulant core is 2k - 2", 2 * k - 2,
+       lambda k=k: cons.circulant_h(k), Rule.STANDARD) for k in (2, 3)),
+    *((f"regular6k.k{k}.Z.G", f"k={k}: forcing number of the construction is 4k - 2", 4 * k - 2,
+       _member(f"regular6k.k{k}", 0), Rule.STANDARD) for k in (2, 3)),
+)
 
+# adjacency cospectrality of a fixture pair, tag "paper": (id, description, fixture)
+_COSPECTRAL = (
+    ("fig1.cospectral.A", "fixture pair shares its adjacency char poly", "fig1"),
+    ("ex32.cospectral.A", "cycle+isolated vs spider share the adjacency char poly", "ex32"),
+    ("tensor.cospectral.A", "tensor products with K3 stay adjacency-cospectral", "tensor"),
+    ("cartesian.cospectral.A", "rook's grid and switched mate are adjacency-cospectral", "cartesian"),
+    ("thm51.cospectral.A", "assembled pair is adjacency-cospectral", "thm51"),
+    *((f"regular6k.k{k}.cospectral.A", f"k={k}: pair is adjacency-cospectral", f"regular6k.k{k}")
+      for k in (2, 3)),
+)
 
-@_claim("fig1.noniso", "fixture pair is non-isomorphic", "paper", True)
-def _(seed):
-    g, h = _fig1()
-    iso, _m = graphs.is_isomorphic(g, h)
-    return not iso, {"degree_sequence": list(g.degree_sequence())}
+# non-isomorphism of a fixture pair, tag "paper": (id, description, fixture)
+_NONISO = (
+    ("cartesian.noniso", "rook's grid and switched mate are non-isomorphic", "cartesian"),
+    ("thm51.noniso", "assembled pair is non-isomorphic", "thm51"),
+    *((f"regular6k.k{k}.noniso", f"k={k}: pair is non-isomorphic", f"regular6k.k{k}")
+      for k in (2, 3)),
+)
 
-
-def _fig1_zf(which: int, rule: Rule):
-    def fn(seed):
-        return _zf_claim(_fig1()[which], rule)
-    return fn
-
-
-_claim("fig1.Z.left", "standard forcing number of the left fixture", "paper", 6)(_fig1_zf(0, Rule.STANDARD))
-_claim("fig1.Z.right", "standard forcing number of the right fixture", "paper", 4)(_fig1_zf(1, Rule.STANDARD))
-_claim("fig1.Zplus.left", "psd forcing number of the left fixture", "paper", 5)(_fig1_zf(0, Rule.PSD))
-_claim("fig1.Zplus.right", "psd forcing number of the right fixture", "paper", 4)(_fig1_zf(1, Rule.PSD))
-_claim("fig1.Zminus.left", "skew forcing number of the left fixture", "paper", 4)(_fig1_zf(0, Rule.SKEW))
-_claim("fig1.Zminus.right", "skew forcing number of the right fixture", "paper", 4)(_fig1_zf(1, Rule.SKEW))
-
-
-# ---------------------------------------------------------------------------
-# regular cospectrality reports (adjacency implies L, Q, normalized)
-# ---------------------------------------------------------------------------
-
+# a regular pair is cospectral for A, L, Q (verified) and normalized L
+# (derived), tag "derived": (id, description, fixture, degree)
+_REGCOSPEC = (
+    ("regcospec.fig1",
+     "fixture pair: regular, so cospectral for A, L, Q (verified) and normalized (derived)", "fig1", 4),
+    ("regcospec.grid_shrikhande", "rook's grid vs its switched mate: all-matrix cospectrality",
+     "cartesian", 6),
+    ("regcospec.regular6k.k2", "6k-vertex construction, k=2: all-matrix cospectrality", "regular6k.k2", 4),
+    ("regcospec.regular6k.k3", "6k-vertex construction, k=3: all-matrix cospectrality", "regular6k.k3", 6),
+)
 _REGCOSPEC_EXPECTED = {"regular": True, "adjacency": True, "laplacian": True,
                        "signless": True, "normalized_derived": True}
 
 
-def _regcospec(pair_fn, degree: int):
-    def fn(seed):
-        g, h = pair_fn()
-        rep = regular_cospectral_report(g, h)
-        computed = {"regular": rep.regular and rep.degree == degree,
-                    "adjacency": rep.adjacency_cospectral,
-                    "laplacian": rep.laplacian_verified,
-                    "signless": rep.signless_verified,
-                    "normalized_derived": rep.normalized_laplacian_derived}
-        return computed, {"report": rep.to_json()}
-    return fn
+def _random_regular(rng: random.Random) -> graphs.Graph:
+    n = rng.randint(2, 8)
+    return random_regular_graph(rng, n, rng.choice([k for k in range(n) if (n * k) % 2 == 0]))
 
 
-_claim("regcospec.fig1", "fixture pair: regular, so cospectral for A, L, Q (verified) and normalized (derived)",
-       "derived", _REGCOSPEC_EXPECTED)(_regcospec(_fig1, 4))
-_claim("regcospec.grid_shrikhande", "rook's grid vs its switched mate: all-matrix cospectrality",
-       "derived", _REGCOSPEC_EXPECTED)(_regcospec(_grid_pair, 6))
-_claim("regcospec.regular6k.k2", "6k-vertex construction, k=2: all-matrix cospectrality",
-       "derived", _REGCOSPEC_EXPECTED)(_regcospec(lambda: (_reg6k(2).g, _reg6k(2).g_prime), 4))
-_claim("regcospec.regular6k.k3", "6k-vertex construction, k=3: all-matrix cospectrality",
-       "derived", _REGCOSPEC_EXPECTED)(_regcospec(lambda: (_reg6k(3).g, _reg6k(3).g_prime), 6))
+# seeded random sweeps, tag "derived", expected: every pair passes
+# (id, description, rng offset, pairs, draw one graph, check a pair)
+_SWEEPS = (
+    ("join.laplacian_identity.sweep", "Laplacian join identity on 50 random pairs of order <= 8", 11, 50,
+     lambda rng: random_graph(rng, rng.randint(1, 8)), lambda g, h: laplacian_join_identity_check(g, h)),
+    ("join.regular_adjacency.sweep", "adjacency join identity on 50 random regular pairs of order <= 8",
+     12, 50, _random_regular, lambda g, h: regular_join_adjacency_check(g, h)),
+    ("join.zf_formula.standard.sweep", "join formula vs exact solver, standard rule, 30 connected pairs",
+     13, 30, lambda rng: random_connected_graph(rng, rng.randint(2, 6)),
+     lambda g, h: zf_join_formula_check(g, h, Rule.STANDARD)),
+    ("join.zf_formula.skew.sweep", "join formula vs exact solver, skew rule, 30 connected pairs",
+     14, 30, lambda rng: random_connected_graph(rng, rng.randint(2, 6)),
+     lambda g, h: zf_join_formula_check(g, h, Rule.SKEW)),
+)
+
+
+def _cospectral_row(prefix: str, seed: int) -> tuple[object, dict]:
+    g, h = _pair(prefix)
+    pg, ph = char_poly(g, MatrixKind.ADJACENCY), char_poly(h, MatrixKind.ADJACENCY)
+    return pg == ph, {"char_poly_g": pg.to_json(), "char_poly_h": ph.to_json()}
+
+
+def _noniso_row(prefix: str, seed: int) -> tuple[object, dict]:
+    iso, _m = graphs.is_isomorphic(*_pair(prefix))
+    return not iso, {}
+
+
+def _regcospec_row(prefix: str, degree: int, seed: int) -> tuple[object, dict]:
+    rep = regular_cospectral_report(*_pair(prefix))
+    computed = {"regular": rep.regular and rep.degree == degree,
+                "adjacency": rep.adjacency_cospectral,
+                "laplacian": rep.laplacian_verified,
+                "signless": rep.signless_verified,
+                "normalized_derived": rep.normalized_laplacian_derived}
+    return computed, {"report": rep.to_json()}
+
+
+def _sweep(offset: int, pairs: int, draw, check, seed: int) -> tuple[object, dict]:
+    rng = random.Random(1_000_003 * seed + offset)
+    return sum(1 for _i in range(pairs) if check(draw(rng), draw(rng))), {"pairs": pairs}
+
+
+for _id, _description, _expected, _graph, _rule in _FORCING:
+    _claim(_id, _description, "paper", _expected)(
+        lambda seed, graph=_graph, rule=_rule: _zf_claim(graph(), rule))
+for _id, _description, _prefix in _COSPECTRAL:
+    _claim(_id, _description, "paper", True)(partial(_cospectral_row, _prefix))
+for _id, _description, _prefix in _NONISO:
+    _claim(_id, _description, "paper", True)(partial(_noniso_row, _prefix))
+for _id, _description, _prefix, _degree in _REGCOSPEC:
+    _claim(_id, _description, "derived", _REGCOSPEC_EXPECTED)(partial(_regcospec_row, _prefix, _degree))
+for _id, _description, _offset, _pairs, _draw, _check in _SWEEPS:
+    _claim(_id, _description, "derived", _pairs)(partial(_sweep, _offset, _pairs, _draw, _check))
 
 
 # ---------------------------------------------------------------------------
-# ex32: the cycle-plus-isolated-vertex vs spider pair, and its skew nullity
+# claims with bodies of their own
 # ---------------------------------------------------------------------------
 
-@_claim("ex32.cospectral.A", "cycle+isolated vs spider share the adjacency char poly", "paper", True)
+@_claim("fig1.noniso", "fixture pair is non-isomorphic", "paper", True)
 def _(seed):
-    g, h = _ex32()
-    return _cospectral_claim(g, h, MatrixKind.ADJACENCY)
+    g, h = _pair("fig1")
+    iso, _m = graphs.is_isomorphic(g, h)
+    return not iso, {"degree_sequence": list(g.degree_sequence())}
 
 
-_claim("ex32.Zminus.G", "skew forcing number of the cycle+isolated fixture", "paper", 3)(
-    lambda seed: _zf_claim(_ex32()[0], Rule.SKEW))
-_claim("ex32.Zminus.Gprime", "skew forcing number of the spider fixture", "paper", 1)(
-    lambda seed: _zf_claim(_ex32()[1], Rule.SKEW))
-
-
-def _skew_nullity(which: int):
-    def fn(seed):
-        g = _ex32()[which]
-        witness = max_nullity_witness_search(g, seed=seed)
-        z_minus = zero_forcing_number(g, Rule.SKEW).value
-        rank = exact_rank(witness)
-        replayed = g.n - rank
-        certs = {"witness": witness.to_json(),
-                 "replayed_rank": rank,
-                 "z_minus": z_minus}
-        computed = {"nullity": replayed,
-                    "equals_skew_forcing_number": replayed == z_minus}
-        return computed, certs
-    return fn
+def _skew_nullity(which: int, seed: int) -> tuple[object, dict]:
+    g = _pair("ex32")[which]
+    witness = max_nullity_witness_search(g, seed=seed)
+    z_minus = zero_forcing_number(g, Rule.SKEW).value
+    rank = exact_rank(witness)
+    replayed = g.n - rank
+    certs = {"witness": witness.to_json(),
+             "replayed_rank": rank,
+             "z_minus": z_minus}
+    computed = {"nullity": replayed,
+                "equals_skew_forcing_number": replayed == z_minus}
+    return computed, certs
 
 
 _claim("ex32.skew_nullity.G", "maximum skew nullity witness meets the skew forcing number (cycle+isolated)",
-       "paper", {"nullity": 3, "equals_skew_forcing_number": True})(_skew_nullity(0))
+       "paper", {"nullity": 3, "equals_skew_forcing_number": True})(partial(_skew_nullity, 0))
 _claim("ex32.skew_nullity.Gprime", "maximum skew nullity witness meets the skew forcing number (spider)",
-       "paper", {"nullity": 1, "equals_skew_forcing_number": True})(_skew_nullity(1))
+       "paper", {"nullity": 1, "equals_skew_forcing_number": True})(partial(_skew_nullity, 1))
 
 
-# ---------------------------------------------------------------------------
-# tensor family: scale the skew separation by a complete factor
-# ---------------------------------------------------------------------------
-
-@_claim("tensor.cospectral.A", "tensor products with K3 stay adjacency-cospectral", "paper", True)
-def _(seed):
-    left, right = _tensor_products()
-    return _cospectral_claim(left.graph, right.graph, MatrixKind.ADJACENCY)
+@lru_cache(maxsize=None)
+def _grid_pair_zplus(which: int):
+    return _zf_claim(_pair("cartesian")[which], Rule.PSD)
 
 
-def _tensor_zf(which: int, rule: Rule):
-    def fn(seed):
-        fam = _tensor_products()[which]
-        return _zf_claim(fam.graph, rule)
-    return fn
-
-
-_claim("tensor.Z.G", "standard forcing number of (cycle+isolated) x K3", "paper", 13)(_tensor_zf(0, Rule.STANDARD))
-_claim("tensor.Zminus.G", "skew forcing number of (cycle+isolated) x K3", "paper", 13)(_tensor_zf(0, Rule.SKEW))
-_claim("tensor.Z.Gprime", "standard forcing number of spider x K3", "paper", 9)(_tensor_zf(1, Rule.STANDARD))
-_claim("tensor.Zminus.Gprime", "skew forcing number of spider x K3", "paper", 9)(_tensor_zf(1, Rule.SKEW))
-
-
-# ---------------------------------------------------------------------------
-# cartesian / psd: rook's grids and the switched mate
-# ---------------------------------------------------------------------------
-
-_claim("cartesian.Zplus.r2", "psd forcing number of the 2x2 rook's graph", "paper", 2)(
-    lambda seed: _zf_claim(graphs.grid_lattice(2), Rule.PSD))
-_claim("cartesian.Zplus.r3", "psd forcing number of the 3x3 rook's graph", "paper", 5)(
-    lambda seed: _zf_claim(graphs.grid_lattice(3), Rule.PSD))
+# not table rows: these two solves are shared with cartesian.bound.r11
 _claim("cartesian.Zplus.r4", "psd forcing number of the 4x4 rook's graph", "paper", 10)(
     lambda seed: _grid_pair_zplus(0))
 _claim("cartesian.Zplus.shrikhande", "psd forcing number of the switched mate", "paper", 9)(
     lambda seed: _grid_pair_zplus(1))
-
-
-@_claim("cartesian.cospectral.A", "rook's grid and switched mate are adjacency-cospectral", "paper", True)
-def _(seed):
-    g, h = _grid_pair()
-    return _cospectral_claim(g, h, MatrixKind.ADJACENCY)
-
-
-@_claim("cartesian.noniso", "rook's grid and switched mate are non-isomorphic", "paper", True)
-def _(seed):
-    g, h = _grid_pair()
-    iso, _m = graphs.is_isomorphic(g, h)
-    return not iso, {}
 
 
 @_claim("cartesian.bound.r11", "product bound separation at r = 11 (99 < 100)", "paper", True)
@@ -291,141 +307,34 @@ def _(seed):
     return report.separation_holds, {"report": report.to_json()}
 
 
-# ---------------------------------------------------------------------------
-# join identities and formulas
-# ---------------------------------------------------------------------------
-
-@_claim("join.laplacian_identity.sweep", "Laplacian join identity on 50 random pairs of order <= 8",
-        "derived", 50)
-def _(seed):
-    rng = random.Random(1_000_003 * seed + 11)
-    passes = 0
-    for _i in range(50):
-        g = random_graph(rng, rng.randint(1, 8))
-        h = random_graph(rng, rng.randint(1, 8))
-        if laplacian_join_identity_check(g, h):
-            passes += 1
-    return passes, {"pairs": 50}
-
-
-@_claim("join.regular_adjacency.sweep", "adjacency join identity on 50 random regular pairs of order <= 8",
-        "derived", 50)
-def _(seed):
-    rng = random.Random(1_000_003 * seed + 12)
-    passes = 0
-    for _i in range(50):
-        pair = []
-        for _side in range(2):
-            n = rng.randint(2, 8)
-            k = rng.choice([k for k in range(n) if (n * k) % 2 == 0])
-            pair.append(random_regular_graph(rng, n, k))
-        if regular_join_adjacency_check(pair[0], pair[1]):
-            passes += 1
-    return passes, {"pairs": 50}
-
-
-def _zf_formula_sweep(rule: Rule, offset: int):
-    def fn(seed):
-        rng = random.Random(1_000_003 * seed + offset)
-        passes = 0
-        for _i in range(30):
-            g = random_connected_graph(rng, rng.randint(2, 6))
-            h = random_connected_graph(rng, rng.randint(2, 6))
-            if zf_join_formula_check(g, h, rule):
-                passes += 1
-        return passes, {"pairs": 30}
-    return fn
-
-
-_claim("join.zf_formula.standard.sweep", "join formula vs exact solver, standard rule, 30 connected pairs",
-       "derived", 30)(_zf_formula_sweep(Rule.STANDARD, 13))
-_claim("join.zf_formula.skew.sweep", "join formula vs exact solver, skew rule, 30 connected pairs",
-       "derived", 30)(_zf_formula_sweep(Rule.SKEW, 14))
-
-
-def _join_family_zf(which: int):
-    def fn(seed):
-        g1, g2 = _fig1()
-        pair = cons.join_family(g1, g2, 2)
-        target = (pair.g, pair.g_prime)[which]
-        return _zf_claim(target, Rule.STANDARD)
-    return fn
-
-
-_claim("join.family.fig1.Z.left", "forcing number of left fixture joined with K2 is 2 + 6", "paper", 8)(
-    _join_family_zf(0))
-_claim("join.family.fig1.Z.right", "forcing number of right fixture joined with K2 is 2 + 4", "paper", 6)(
-    _join_family_zf(1))
-
-
 @_claim("join.family.fig1.laplacian_identity", "join family pairs satisfy the Laplacian join identity",
         "derived", True)
 def _(seed):
-    g1, g2 = _fig1()
+    g1, g2 = _pair("fig1")
     k2 = graphs.complete(2)
     return (laplacian_join_identity_check(g1, k2)
             and laplacian_join_identity_check(g2, k2)), {}
 
 
-@_claim("join.iterated.fig1", "one self-join of the left fixture has forcing number 10 + 6", "paper", 16)
-def _(seed):
-    g = graphs.iterated_join(_fig1()[0], 1)
-    return _zf_claim(g, Rule.STANDARD)
-
-
-# ---------------------------------------------------------------------------
-# the join-plus-spare-component switching pair
-# ---------------------------------------------------------------------------
-
-@_claim("thm51.cospectral.A", "assembled pair is adjacency-cospectral", "paper", True)
-def _(seed):
-    pair = _thm51()
-    return _cospectral_claim(pair.g, pair.g_prime, MatrixKind.ADJACENCY)
-
-
-@_claim("thm51.noniso", "assembled pair is non-isomorphic", "paper", True)
-def _(seed):
-    pair = _thm51()
-    iso, _m = graphs.is_isomorphic(pair.g, pair.g_prime)
-    return not iso, {}
-
-
-@_claim("thm51.Z.Gprime", "forcing number of the assembled graph is 10 + 4 + 1", "paper", 15)
-def _(seed):
-    return _zf_claim(_thm51().g, Rule.STANDARD)
-
-
-@_claim("thm51.Z.Gdoubleprime", "forcing number of the switched graph is 10 + 6 + 1", "paper", 17)
-def _(seed):
-    return _zf_claim(_thm51().g_prime, Rule.STANDARD)
-
-
 @_claim("thm51.switch_audit", "switched graph matches the directly built swap", "derived", True)
 def _(seed):
-    pair = _thm51()
-    g1, g2 = _fig1()
+    pair = _fixture("thm51")
+    g1, g2 = _pair("fig1")
     m = dict(pair.params)["m"]
     direct = graphs.disjoint_union(graphs.join(g2, graphs.path(m)), g1)
     iso, mapping = graphs.is_isomorphic(pair.g_prime, direct)
     return iso, {"mapping": list(mapping) if iso else None}
 
 
-# ---------------------------------------------------------------------------
-# torus forcing formula and the linear-gap parameters
-# ---------------------------------------------------------------------------
-
-def _torus_claim(s: int, t: int):
-    def fn(seed):
-        g = graphs.cartesian(graphs.cycle(s), graphs.cycle(t))
-        value, certs = _zf_claim(g, Rule.STANDARD)
-        certs["formula_value"] = cons.torus_zero_forcing(s, t)
-        return value, certs
-    return fn
+def _torus(s: int, t: int, seed: int) -> tuple[object, dict]:
+    value, certs = _zf_claim(graphs.cartesian(graphs.cycle(s), graphs.cycle(t)), Rule.STANDARD)
+    certs["formula_value"] = cons.torus_zero_forcing(s, t)
+    return value, certs
 
 
-_claim("cor52.torus.C3C3", "torus C3 box C3 forcing number (equal odd case)", "paper", 5)(_torus_claim(3, 3))
-_claim("cor52.torus.C3C4", "torus C3 box C4 forcing number", "paper", 6)(_torus_claim(3, 4))
-_claim("cor52.torus.C4C4", "torus C4 box C4 forcing number", "paper", 8)(_torus_claim(4, 4))
+_claim("cor52.torus.C3C3", "torus C3 box C3 forcing number (equal odd case)", "paper", 5)(partial(_torus, 3, 3))
+_claim("cor52.torus.C3C4", "torus C3 box C4 forcing number", "paper", 6)(partial(_torus, 3, 4))
+_claim("cor52.torus.C4C4", "torus C4 box C4 forcing number", "paper", 8)(partial(_torus, 4, 4))
 
 
 @_claim("cor52.params.c3", "c = 3 parameters: orders, formula values, gap 4c - 8", "paper",
@@ -448,31 +357,15 @@ def _reg6k_claims(k: int):
 
     @_claim(f"{prefix}.regular", f"k={k}: graph is 2k-regular of order 6k", "paper", True)
     def _(seed):
-        pair = _reg6k(k)
-        return (pair.g.n == 6 * k and pair.g.is_regular() == 2 * k
-                and pair.g_prime.is_regular() == 2 * k), {}
+        g, g_prime = _pair(prefix)
+        return (g.n == 6 * k and g.is_regular() == 2 * k
+                and g_prime.is_regular() == 2 * k), {}
 
     @_claim(f"{prefix}.switching_set", f"k={k}: core plus clique validates as a switching set",
             "paper", True)
     def _(seed):
-        pair = _reg6k(k)
-        return pair.partition.validation.ok, {"validation": pair.partition.validation.to_json()}
-
-    @_claim(f"{prefix}.cospectral.A", f"k={k}: pair is adjacency-cospectral", "paper", True)
-    def _(seed):
-        pair = _reg6k(k)
-        return _cospectral_claim(pair.g, pair.g_prime, MatrixKind.ADJACENCY)
-
-    @_claim(f"{prefix}.noniso", f"k={k}: pair is non-isomorphic", "paper", True)
-    def _(seed):
-        pair = _reg6k(k)
-        iso, _m = graphs.is_isomorphic(pair.g, pair.g_prime)
-        return not iso, {}
-
-    @_claim(f"{prefix}.ZH", f"k={k}: forcing number of the circulant core is 2k - 2",
-            "paper", 2 * k - 2)
-    def _(seed):
-        return _zf_claim(cons.circulant_h(k), Rule.STANDARD)
+        validation = _fixture(prefix).partition.validation
+        return validation.ok, {"validation": validation.to_json()}
 
     @_claim(f"{prefix}.ZH.witness", f"k={k}: the canonical core witness set closes", "paper", True)
     def _(seed):
@@ -481,15 +374,10 @@ def _reg6k_claims(k: int):
         ok = final == h.full_mask and verify_certificate(h, cert)
         return ok, {"graph6": graphs.emit_graph6(h), "certificate": cert.to_json()}
 
-    @_claim(f"{prefix}.Z.G", f"k={k}: forcing number of the construction is 4k - 2",
-            "paper", 4 * k - 2)
-    def _(seed):
-        return _zf_claim(_reg6k(k).g, Rule.STANDARD)
-
     @_claim(f"{prefix}.Zbound.Gprime", f"k={k}: switched graph has forcing number at most 4k - 3",
             "paper", True)
     def _(seed):
-        switched = _reg6k(k).g_prime
+        switched = _pair(prefix)[1]
         result = zero_forcing_number(switched, Rule.STANDARD)
         replay = verify_certificate(switched, result.witness)
         certs = {"value": result.value,

@@ -325,32 +325,25 @@ def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
 
 def zero_forcing_number(g: Graph, rule: Rule, *,
                         budget: Optional[int] = None,
-                        order_cap: int = DEFAULT_ORDER_CAP,
-                        per_component: bool = True) -> ZfResult:
+                        order_cap: int = DEFAULT_ORDER_CAP) -> ZfResult:
     """Exact minimum forcing-set size with witness certificate.
 
-    Searches each connected component separately (the parameter is additive
-    over components) unless ``per_component`` is off, which forces a single
-    whole-graph search and exists for cross-checking additivity.
+    Searches each connected component separately: the parameter is additive
+    over components.
     """
     state = _Budget(default_budget() if budget is None else budget)
 
     initial = 0
     value = 0
-    if per_component:
-        for comp in components(g):
-            sub, verts = induced_subgraph(g, comp)
-            if sub.n > order_cap:
-                raise BudgetExceededError(
-                    f"component of order {sub.n} exceeds the order cap {order_cap}")
-            k, mask = _component_minimum(sub.adj, sub.n, rule, state)
-            value += k
-            for b in bits(mask):
-                initial |= 1 << verts[b]
-    else:
-        if g.n > order_cap:
-            raise BudgetExceededError(f"order {g.n} exceeds the order cap {order_cap}")
-        value, initial = _component_minimum(g.adj, g.n, rule, state)
+    for comp in components(g):
+        sub, verts = induced_subgraph(g, comp)
+        if sub.n > order_cap:
+            raise BudgetExceededError(
+                f"component of order {sub.n} exceeds the order cap {order_cap}")
+        k, mask = _component_minimum(sub.adj, sub.n, rule, state)
+        value += k
+        for b in bits(mask):
+            initial |= 1 << verts[b]
 
     final, cert = closure(g, rule, initial)
     if final != g.full_mask:

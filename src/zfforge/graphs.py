@@ -11,7 +11,9 @@ refinement of both graphs, then branching on one vertex of the smallest
 non-trivial colour class with a refinement after every choice.  A "no" is an
 exhaustive proof; a "yes" returns one checked mapping, which may be any
 isomorphism.  One call may spend at most ``ISO_NODE_CAP`` individualisation
-nodes and raises BudgetExceededError past it.
+nodes and raises BudgetExceededError past it.  The search has no automorphism
+pruning, so graphs whose components differ in (order, edge count) are told
+apart before it starts.
 
 Product and join operators use row-major vertex order: the vertex (u, u') of
 a product of g and h sits at index u * h.n + u', and a join places all of g
@@ -410,6 +412,12 @@ def _joint_refine(g: list[tuple[int, ...]], h: list[tuple[int, ...]],
         ncolors = len(table)
 
 
+def _component_shapes(g: Graph) -> list[tuple[int, int]]:
+    """Sorted (order, edge count) of the connected components."""
+    return sorted((comp.bit_count(), sum((g.adj[v] & comp).bit_count() for v in bits(comp)) // 2)
+                  for comp in components(g))
+
+
 def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Decide isomorphism by individualisation-refinement.
 
@@ -424,9 +432,13 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     them.  Every individualisation spends one node; past ``ISO_NODE_CAP``
     nodes the search raises BudgetExceededError.
 
+    Pairs that differ in order, size, degree sequence or the sorted
+    (order, edge count) of their components are answered "no" at once.
+
     Returns (True, mapping) with mapping[v] the image of v, or (False, None).
     """
-    if g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence():
+    if (g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence()
+            or _component_shapes(g) != _component_shapes(h)):
         return False, None
     n = g.n
     if n == 0:

@@ -1,3 +1,5 @@
+import pytest
+
 from zfforge import claims
 from zfforge.claims import claim_ids, evaluate_claim, run_claims, summarize
 from zfforge.forcing import BudgetExceededError
@@ -146,12 +148,18 @@ def test_attached_certificates_are_self_contained():
     from zfforge.graphs import parse_graph6
 
     checked = 0
-    for prefix in ("fig1.", "regular6k.k2", "cor52.torus"):
-        for report in run_claims(prefix=prefix):
-            certs = report.certificates
-            if "certificate" in certs and "graph6" in certs:
-                g = parse_graph6(certs["graph6"])
-                cert = ForcingCertificate.from_json(certs["certificate"])
-                assert verify_certificate(g, cert)
-                checked += 1
-    assert checked >= 12
+    for report in run_claims(jobs=2):
+        certs = report.certificates
+        if "certificate" in certs and "graph6" in certs:
+            g = parse_graph6(certs["graph6"])
+            cert = ForcingCertificate.from_json(certs["certificate"])
+            assert verify_certificate(g, cert), report.claim_id
+            checked += 1
+    assert checked == 32
+
+
+def test_duplicate_claim_id_is_rejected():
+    before = dict(claims.REGISTRY)
+    with pytest.raises(ValueError, match="duplicate claim id fig1.Z.left"):
+        claims._claim("fig1.Z.left", "a second fig1.Z.left", "paper", 6)(lambda seed: (6, {}))
+    assert claims.REGISTRY == before

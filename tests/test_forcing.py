@@ -167,14 +167,14 @@ def test_rule_dominance():
 
 
 def test_component_additivity_against_whole_graph_search():
+    # the solver searches per component; the oracle enumerates subsets of
+    # the whole disjoint union
     rng = random.Random(233)
     for _ in range(10):
         g = disjoint_union(random_graph(rng, rng.randint(1, 6)),
                            random_graph(rng, rng.randint(1, 6)))
         for rule in ALL_RULES:
-            split = zero_forcing_number(g, rule)
-            whole = zero_forcing_number(g, rule, per_component=False)
-            assert split.value == whole.value
+            assert zero_forcing_number(g, rule).value == gosper_minimum(g, rule)
 
 
 def test_budget_and_order_cap_errors():

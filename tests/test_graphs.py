@@ -351,6 +351,28 @@ def test_isomorphism_node_cap_raises(monkeypatch):
     assert "order 10" in report.certificates["budget_error"]
 
 
+def test_isomorphism_rejects_unions_with_different_components(monkeypatch):
+    # 5*C6 against 4*C6 + 2*C3 agrees in order, size and degrees; without the
+    # component check the search exhausts any cap here (50,000 nodes at order 30)
+    monkeypatch.setattr(graphs, "ISO_NODE_CAP", 20)
+
+    def union(*parts):
+        out = parts[0]
+        for part in parts[1:]:
+            out = disjoint_union(out, part)
+        return out
+
+    five = union(*[cycle(6)] * 5)
+    mixed = union(*[cycle(6)] * 4, cycle(3), cycle(3))
+    assert (five.n, five.m, five.degree_sequence()) == (mixed.n, mixed.m, mixed.degree_sequence())
+    assert is_isomorphic(five, mixed) == (False, None)
+    perm = list(range(30))
+    random.Random(30).shuffle(perm)
+    moved = relabel(five, tuple(perm))
+    iso, mapping = is_isomorphic(five, moved)
+    assert iso and relabel(five, mapping).adj == moved.adj
+
+
 def test_graph6_k2():
     assert emit_graph6(complete(2)) == "A_"
 
