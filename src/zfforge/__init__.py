@@ -19,7 +19,7 @@ from .constructions import (ConstructionPair, Expected, InvalidPartitionError,
                             grid_shrikhande_report, join_family,
                             regular_construction, shrikhande,
                             switching_partition, tensor_family,
-                            theorem51_build, torus_zero_forcing, zf_h_check)
+                            theorem51_build, torus_zero_forcing)
 from .skew_rank import SkewWitness, exact_rank, max_nullity_witness_search
 from .claims import ClaimReport, claim_ids, evaluate_claim, run_claims
 

@@ -24,14 +24,14 @@ forcing behaviour while preserving a spectrum:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from . import graphs
 from .graphs import (Graph, bits, cartesian, complete, cycle, disjoint_union,
                      emit_graph6, fig1_left, fig1_right, is_connected,
                      is_isomorphic, join, mask_from, path)
-from .forcing import Rule, closure, zero_forcing_number
+from .forcing import Rule, zero_forcing_number
 from .spectra import MatrixKind, cospectral
 from .skew_rank import SkewWitness, max_nullity_witness_search
 
@@ -185,7 +185,7 @@ class Expected:
     tag: str  # "paper" for values carried by the source claims, "derived" otherwise
 
     def to_json(self) -> dict:
-        return {"name": self.name, "value": self.value, "tag": self.tag}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -329,15 +329,6 @@ def circulant_h(k: int) -> Graph:
 def h_witness_set(k: int) -> tuple[int, ...]:
     """The canonical minimum forcing set {0} u {2, ..., 2k - 2} of the core."""
     return (0,) + tuple(range(2, 2 * k - 1))
-
-
-def zf_h_check(k: int) -> bool:
-    """Exact Z of the core equals 2k - 2 and the canonical witness closes."""
-    h = circulant_h(k)
-    if zero_forcing_number(h, Rule.STANDARD).value != 2 * k - 2:
-        return False
-    final, _ = closure(h, Rule.STANDARD, h_witness_set(k))
-    return final == h.full_mask
 
 
 def regular_construction(k: int) -> ConstructionPair:
@@ -500,14 +491,7 @@ class GridShrikhandeReport:
     separation_holds: bool
 
     def to_json(self) -> dict:
-        return {"r": self.r,
-                "zplus_grid": self.zplus_grid,
-                "zplus_switched": self.zplus_switched,
-                "adjacency_cospectral": self.adjacency_cospectral,
-                "isomorphic": self.isomorphic,
-                "product_upper_bound": self.product_upper_bound,
-                "product_lower_bound": self.product_lower_bound,
-                "separation_holds": self.separation_holds}
+        return asdict(self)
 
 
 def grid_shrikhande_report(r: int, zplus_grid: int, zplus_switched: int) -> GridShrikhandeReport:

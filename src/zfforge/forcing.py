@@ -34,9 +34,11 @@ than are left, and runs the real closure at every leaf.  Cardinalities are
 searched in increasing order from a proven lower bound in the component's
 minimum degree delta: Z >= delta, Z_plus >= treewidth >= delta and
 Z_minus >= delta - 1.  Every value is therefore decided by exhaustive proof.
-Search effort is metered: every closure evaluation and every branch node
-spends budget, and exceeding the budget or the per-component order cap
-raises BudgetExceededError rather than degrading to an approximation.
+Search effort is metered by one ``graphs.Budget`` per solve, set only by the
+``budget`` argument: every closure evaluation and every branch node spends
+one step.  The first step past the budget raises BudgetExceededError naming
+the rule, the component's order and the steps spent; a component above the
+order cap raises it too.  Neither degrades to an approximation.
 Nothing is remembered between solves: every call searches from scratch.
 
 Certificates use a deterministic tie-break so witnesses are byte-stable: at
@@ -46,15 +48,13 @@ every step the lexicographically least eligible (actor, target) pair fires.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .graphs import (BudgetExceededError, Graph, bits, components, induced_subgraph,
-                     is_connected, join, mask_components)
+from .graphs import (Budget, BudgetExceededError, Graph, bits, components,
+                     induced_subgraph, is_connected, join, mask_components)
 
 DEFAULT_ORDER_CAP = 24
-_DEFAULT_BUDGET = 10 ** 8
 
 VertexSetLike = Union[int, Iterable[int]]
 
@@ -70,19 +70,6 @@ def rule_from_name(name: str) -> Rule:
         return Rule(name.lower())
     except ValueError:
         raise ValueError(f"rule must be standard, skew or psd; got {name!r}") from None
-
-
-def default_budget() -> int:
-    raw = os.environ.get("ZFFORGE_BUDGET")
-    if raw is None:
-        return _DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"ZFFORGE_BUDGET must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError("ZFFORGE_BUDGET must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -234,29 +221,16 @@ def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: boo
 # exact minimum search
 # ---------------------------------------------------------------------------
 
-class _Budget:
-    __slots__ = ("remaining", "spent")
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-        self.spent = 0
-
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
-        self.spent += amount
-        if self.remaining < 0:
-            raise BudgetExceededError(f"budget exhausted after {self.spent} steps")
-
-
 def _lower_bound(adj, rule: Rule) -> int:
     """Z >= delta, Z_plus >= tw >= delta and Z_minus >= delta - 1."""
     delta = min((row.bit_count() for row in adj), default=0)
     return max(delta - 1, 0) if rule is Rule.SKEW else delta
 
 
-def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
+def _component_minimum(adj, n, rule: Rule, budget: Budget) -> tuple[int, int]:
     """Minimum forcing set as a minimum hitting set of lazily generated forts
     (see the module docstring); returns (size, mask)."""
+    budget.what = f"{rule.value} search on a component of order {n}"
     full = (1 << n) - 1
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
     forts: list[int] = []
@@ -310,13 +284,8 @@ def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
         return None
 
     k = _lower_bound(adj, rule)
-    try:
-        while (found := search(0, 0, k, list(forts))) is None:
-            k += 1
-    except BudgetExceededError:
-        raise BudgetExceededError(
-            f"{rule.value} search on a component of order {n} exhausted its budget "
-            f"after {budget.spent} steps") from None
+    while (found := search(0, 0, k, list(forts))) is None:
+        k += 1
     if found.bit_count() != k:
         raise AssertionError(
             f"fort search found {found.bit_count()} vertices at cardinality {k}")
@@ -324,14 +293,15 @@ def _component_minimum(adj, n, rule: Rule, budget: _Budget) -> tuple[int, int]:
 
 
 def zero_forcing_number(g: Graph, rule: Rule, *,
-                        budget: Optional[int] = None,
+                        budget: int = 10 ** 8,
                         order_cap: int = DEFAULT_ORDER_CAP) -> ZfResult:
     """Exact minimum forcing-set size with witness certificate.
 
     Searches each connected component separately: the parameter is additive
-    over components.
+    over components.  All components spend from one Budget of ``budget``
+    search steps.
     """
-    state = _Budget(default_budget() if budget is None else budget)
+    state = Budget(budget)
 
     initial = 0
     value = 0
@@ -351,8 +321,7 @@ def zero_forcing_number(g: Graph, rule: Rule, *,
     return ZfResult(value, cert, state.spent)
 
 
-def zf_join_formula_check(g: Graph, h: Graph, rule: Rule, *,
-                          budget: Optional[int] = None) -> bool:
+def zf_join_formula_check(g: Graph, h: Graph, rule: Rule) -> bool:
     """Compare the exact solver on join(g, h) against the join formula
 
         value(g v h) = min(|V(g)| + value(h), |V(h)| + value(g))
@@ -364,7 +333,7 @@ def zf_join_formula_check(g: Graph, h: Graph, rule: Rule, *,
     if not is_connected(g) or not is_connected(h):
         raise ValueError("join formula check needs connected inputs")
     joined = join(g, h)
-    lhs = zero_forcing_number(joined, rule, budget=budget).value
-    rhs = min(g.n + zero_forcing_number(h, rule, budget=budget).value,
-              h.n + zero_forcing_number(g, rule, budget=budget).value)
+    lhs = zero_forcing_number(joined, rule).value
+    rhs = min(g.n + zero_forcing_number(h, rule).value,
+              h.n + zero_forcing_number(g, rule).value)
     return lhs == rhs

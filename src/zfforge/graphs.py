@@ -10,10 +10,10 @@ Isomorphism is decided by individualisation-refinement: joint colour
 refinement of both graphs, then branching on one vertex of the smallest
 non-trivial colour class with a refinement after every choice.  A "no" is an
 exhaustive proof; a "yes" returns one checked mapping, which may be any
-isomorphism.  One call may spend at most ``ISO_NODE_CAP`` individualisation
-nodes and raises BudgetExceededError past it.  The search has no automorphism
-pruning, so graphs whose components differ in (order, edge count) are told
-apart before it starts.
+isomorphism.  The components of the two graphs are matched up first, so the
+search only runs on connected pairs.  One call may spend at most
+``ISO_NODE_CAP`` individualisation nodes over all its pairs and raises
+BudgetExceededError past it.  The search has no automorphism pruning.
 
 Product and join operators use row-major vertex order: the vertex (u, u') of
 a product of g and h sits at index u * h.n + u', and a join places all of g
@@ -36,6 +36,29 @@ class GraphError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A search would exceed its step budget or order cap."""
+
+
+class Budget:
+    """Step meter shared by the exponential searches.
+
+    ``spend`` counts one step; the first step past ``limit`` raises
+    BudgetExceededError naming ``what`` was being searched, which the search
+    sets as it moves from one component to the next, and the steps spent.
+    The message is built only then, so a step does no string work.
+    """
+
+    __slots__ = ("limit", "spent", "what")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+        self.what = "search"
+
+    def spend(self) -> None:
+        self.spent += 1
+        if self.spent > self.limit:
+            raise BudgetExceededError(
+                f"{self.what} exhausted its budget after {self.spent} steps")
 
 
 class UnknownGraphError(GraphError):
@@ -412,43 +435,53 @@ def _joint_refine(g: list[tuple[int, ...]], h: list[tuple[int, ...]],
         ncolors = len(table)
 
 
-def _component_shapes(g: Graph) -> list[tuple[int, int]]:
-    """Sorted (order, edge count) of the connected components."""
-    return sorted((comp.bit_count(), sum((g.adj[v] & comp).bit_count() for v in bits(comp)) // 2)
-                  for comp in components(g))
-
-
 def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Decide isomorphism by individualisation-refinement.
 
-    Both graphs are refined jointly to equitable colourings.  While g's
-    colouring is not discrete, the first vertex of its smallest non-singleton
-    class is given a fresh colour and tried against every vertex of the same
-    class in h, refining again after each choice (McKay & Piperno, "Practical
-    graph isomorphism, II", 2014).  A discrete colouring fixes a mapping,
-    which counts only if it carries every row of g onto the row of h.  A "no"
-    is therefore an exhaustive proof, and a "yes" comes with a checked
-    mapping; when several isomorphisms exist, the one returned is any of
-    them.  Every individualisation spends one node; past ``ISO_NODE_CAP``
-    nodes the search raises BudgetExceededError.
-
-    Pairs that differ in order, size, degree sequence or the sorted
-    (order, edge count) of their components are answered "no" at once.
+    Disjoint unions are isomorphic exactly when their components pair off
+    isomorphically, so each component of g is matched to an unused
+    component of h that is isomorphic to it, and the search only ever sees
+    connected pairs.  For a pair, both graphs are refined jointly to
+    equitable colourings.  While g's colouring is not discrete, the first
+    vertex of its smallest non-singleton class is given a fresh colour and
+    tried against every vertex of the same class in h, refining again after
+    each choice (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    A discrete colouring fixes a mapping, which counts only if it carries
+    every row of g onto the row of h.  A "no" is therefore an exhaustive
+    proof, and a "yes" comes with a checked mapping; when several
+    isomorphisms exist, the one returned is any of them.  Every
+    individualisation spends one step of a Budget shared by all the pairs;
+    past ``ISO_NODE_CAP`` steps the call raises BudgetExceededError.
 
     Returns (True, mapping) with mapping[v] the image of v, or (False, None).
     """
-    if (g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence()
-            or _component_shapes(g) != _component_shapes(h)):
+    if g.n != h.n or g.m != h.m:
         return False, None
+    budget = Budget(ISO_NODE_CAP)
+    unused = [induced_subgraph(h, comp) for comp in components(h)]
+    mapping = [0] * g.n
+    for comp in components(g):
+        sub, verts = induced_subgraph(g, comp)
+        for i, (sub_h, verts_h) in enumerate(unused):
+            found = _connected_isomorphism(sub, sub_h, budget)
+            if found is not None:
+                for v, w in zip(verts, found):
+                    mapping[v] = verts_h[w]
+                del unused[i]
+                break
+        else:
+            return False, None
+    return True, tuple(mapping)
+
+
+def _connected_isomorphism(g: Graph, h: Graph, budget: Budget) -> Optional[tuple[int, ...]]:
+    """A checked mapping of connected g onto connected h, or None."""
     n = g.n
-    if n == 0:
-        return True, ()
+    budget.what = f"isomorphism search on a component of order {n}"
     nbrs_g = [tuple(bits(row)) for row in g.adj]
     nbrs_h = [tuple(bits(row)) for row in h.adj]
-    nodes = 0
 
     def search(cg: list[int], ch: list[int]) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(cg):
             cells.setdefault(c, []).append(v)
@@ -460,11 +493,7 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
                     key=lambda c: (len(cells[c]), c))
         v = cells[color][0]
         for w in (w for w, c in enumerate(ch) if c == color):
-            nodes += 1
-            if nodes > ISO_NODE_CAP:
-                raise BudgetExceededError(
-                    f"isomorphism search at order {n} exceeded the cap of "
-                    f"{ISO_NODE_CAP} individualisation nodes ({nodes} spent)")
+            budget.spend()
             cg2, ch2 = cg[:], ch[:]
             cg2[v] = ch2[w] = len(cells)
             refined = _joint_refine(nbrs_g, nbrs_h, cg2, ch2)
@@ -474,9 +503,8 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
                     return found
         return None
 
-    refined = _joint_refine(nbrs_g, nbrs_h, [0] * n, [0] * n)
-    mapping = None if refined is None else search(*refined)
-    return (False, None) if mapping is None else (True, mapping)
+    refined = _joint_refine(nbrs_g, nbrs_h, [0] * n, [0] * h.n)
+    return None if refined is None else search(*refined)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,3 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
         edges[j] = (min(b, d), max(b, d))
         done += 1
     return from_edges(n, edges)
-
-
-def random_subset_mask(rng: random.Random, n: int) -> int:
-    return rng.randrange(1 << n) if n else 0

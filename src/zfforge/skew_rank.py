@@ -156,13 +156,12 @@ def _spanning_forest(g: Graph) -> set[tuple[int, int]]:
 
 def max_nullity_witness_search(g: Graph, *,
                                budget: int = 4000,
-                               seed: int = 0,
-                               exhaustive_cap: int = _EXHAUSTIVE_CAP) -> SkewWitness:
+                               seed: int = 0) -> SkewWitness:
     """Best nullity found over small-integer realisations of the pattern.
 
     Per component: spanning-forest entries are pinned to +1 and the
     remaining entries range over {1,2,3} with both signs.  When the grid for
-    a component exceeds ``exhaustive_cap`` or the remaining ``budget`` (a cap
+    a component exceeds ``_EXHAUSTIVE_CAP`` or the remaining ``budget`` (a cap
     on rank evaluations), that component falls back to seeded random
     sampling and the result is no longer marked certified.
     """
@@ -186,7 +185,7 @@ def max_nullity_witness_search(g: Graph, *,
         for i, j in pinned:
             mat[i][j], mat[j][i] = 1, -1
 
-        if grid <= exhaustive_cap and grid <= remaining:
+        if grid <= _EXHAUSTIVE_CAP and grid <= remaining:
             assignments = itertools.product(_ENTRY_CHOICES, repeat=len(free))
         else:
             certified = False

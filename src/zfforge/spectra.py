@@ -15,7 +15,7 @@ a rational-root finder are kept as independent oracles in the test suite
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graphs import Graph, bits, join
 
@@ -151,14 +151,7 @@ class RegularCospectralReport:
     normalized_laplacian_derived: bool
 
     def to_json(self) -> dict:
-        return {
-            "regular": self.regular,
-            "degree": self.degree,
-            "adjacency_cospectral": self.adjacency_cospectral,
-            "laplacian_verified": self.laplacian_verified,
-            "signless_verified": self.signless_verified,
-            "normalized_laplacian_derived": self.normalized_laplacian_derived,
-        }
+        return asdict(self)
 
 
 def regular_cospectral_report(g: Graph, h: Graph) -> RegularCospectralReport:

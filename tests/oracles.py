@@ -1,8 +1,14 @@
-"""Slow reference implementations that the tests compare fast code against."""
+"""Slow reference implementations that the tests compare fast code against,
+and helpers that only the tests use."""
 
-from zfforge.forcing import Rule, _close
+from zfforge.constructions import circulant_h, h_witness_set
+from zfforge.forcing import Rule, _close, closure, zero_forcing_number
 from zfforge.graphs import Graph
 from zfforge.spectra import CharPoly
+
+
+def random_subset_mask(rng, n: int) -> int:
+    return rng.randrange(1 << n) if n else 0
 
 
 def subsets_of_size(n: int, k: int):
@@ -60,6 +66,16 @@ def set_closure(g: Graph, rule, initial) -> tuple[set[int], list[tuple[int, int]
         actor, target = min(legal)
         forces.append((actor, target))
         blue.add(target)
+
+
+def zf_h_check(k: int) -> bool:
+    """Exact Z of the circulant core equals 2k - 2 and the canonical witness
+    closes."""
+    h = circulant_h(k)
+    if zero_forcing_number(h, Rule.STANDARD).value != 2 * k - 2:
+        return False
+    final, _ = closure(h, Rule.STANDARD, h_witness_set(k))
+    return final == h.full_mask
 
 
 def dense_berkowitz(m: list[list[int]], n: int) -> list[int]:

@@ -15,11 +15,11 @@ from zfforge.claims import run_claims, summarize
 from zfforge.constructions import gm_switch, planted_switching_instance
 from zfforge.forcing import Rule, closure, zero_forcing_number
 from zfforge.graphs import complement, disjoint_union
-from zfforge.randgraphs import random_graph, random_subset_mask
+from zfforge.randgraphs import random_graph
 from zfforge.skew_rank import SkewWitness, exact_rank
 from zfforge.spectra import MatrixKind, char_poly, cospectral, matrix_of
 
-from oracles import det_exact, gosper_minimum
+from oracles import det_exact, gosper_minimum, random_subset_mask
 
 ALL_RULES = (Rule.STANDARD, Rule.SKEW, Rule.PSD)
 

@@ -10,14 +10,15 @@ from zfforge.constructions import (Expected, InvalidPartitionError,
                                    planted_switching_instance,
                                    regular_construction, shrikhande,
                                    switching_partition, tensor_family,
-                                   theorem51_build, torus_zero_forcing,
-                                   zf_h_check)
+                                   theorem51_build, torus_zero_forcing)
 from zfforge.forcing import Rule, closure, verify_certificate, zero_forcing_number
 from zfforge.graphs import (cartesian, circulant, complement, complete,
                             components, cycle, disjoint_union, ex32_g,
                             fig1_left, fig1_right, grid_lattice, is_isomorphic,
                             join, mask_from, path)
 from zfforge.spectra import MatrixKind, cospectral
+
+from oracles import zf_h_check
 
 
 def test_switching_partition_validation():

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from zfforge.forcing import (BudgetExceededError, ForcingCertificate, Rule,
-                             closure, default_budget, rule_from_name,
+                             closure, rule_from_name,
                              verify_certificate, zero_forcing_number,
                              zf_join_formula_check)
 from zfforge.graphs import (bits, complete, components, cycle, disjoint_union, empty,
                             ex32_g, ex32_gprime, fig1_left, fig1_right, from_edges,
                             grid_lattice, induced_subgraph, join, mask_components,
                             mask_from, path)
-from zfforge.randgraphs import random_connected_graph, random_graph, random_subset_mask
+from zfforge.randgraphs import random_connected_graph, random_graph
 
-from oracles import gosper_minimum, set_closure
+from oracles import gosper_minimum, random_subset_mask, set_closure
 
 ALL_RULES = (Rule.STANDARD, Rule.SKEW, Rule.PSD)
 
@@ -187,17 +187,17 @@ def test_budget_and_order_cap_errors():
     assert "order 16" in str(info.value)
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("ZFFORGE_BUDGET", "7")
-    assert default_budget() == 7
-    monkeypatch.setenv("ZFFORGE_BUDGET", "zero")
-    with pytest.raises(ValueError):
-        default_budget()
-    monkeypatch.setenv("ZFFORGE_BUDGET", "-3")
-    with pytest.raises(ValueError):
-        default_budget()
-    monkeypatch.delenv("ZFFORGE_BUDGET")
-    assert default_budget() == 10 ** 8
+def test_budget_error_names_the_component_that_ran_out():
+    # the components share one budget: path(3) is solved first, then
+    # fig1_left runs out with the budget's eleventh step
+    g = disjoint_union(path(3), fig1_left())
+    with pytest.raises(BudgetExceededError) as info:
+        zero_forcing_number(g, Rule.STANDARD, budget=10)
+    message = str(info.value)
+    assert "order 10" in message and "11 steps" in message
+    with pytest.raises(BudgetExceededError) as info:
+        zero_forcing_number(g, Rule.STANDARD, budget=6)
+    assert "order 3" in str(info.value)
 
 
 def test_deterministic_witness():

@@ -282,6 +282,13 @@ def _to_nx(nx, graph):
     return out
 
 
+def _union(*parts):
+    out = parts[0]
+    for part in parts[1:]:
+        out = disjoint_union(out, part)
+    return out
+
+
 def test_isomorphism_matches_networkx_vf2():
     nx = pytest.importorskip("networkx")
     rng = random.Random(41)
@@ -305,6 +312,40 @@ def test_isomorphism_matches_networkx_vf2():
         _assert_checked(g, h, iso, mapping)
         verdicts.add(iso)
     assert verdicts == {True, False}
+    # unions of random regular components of one order and degree.  VF2 can
+    # take minutes to refute such a union (one of four cubic components on 6
+    # vertices each ran past 60 s), so the oracle pairs off the networkx
+    # components, each pair decided by VF2
+    verdicts = set()
+    for _ in range(20):
+        n, k, parts = rng.choice(((6, 3, 4), (8, 3, 3), (10, 4, 3), (12, 3, 2)))
+        pool = [random_regular_graph(rng, n, k) for _ in range(3)]
+        g = _union(*[rng.choice(pool) for _ in range(parts)])
+        if rng.random() < 0.5:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, tuple(perm))
+        else:
+            h = _union(*[rng.choice(pool) for _ in range(parts)])
+        iso, mapping = is_isomorphic(g, h)
+        assert iso == _vf2_by_components(nx, g, h)
+        _assert_checked(g, h, iso, mapping)
+        verdicts.add(iso)
+    assert verdicts == {True, False}
+
+
+def _vf2_by_components(nx, g, h):
+    # two graphs are isomorphic exactly when their components pair off
+    # isomorphically
+    gn, hn = _to_nx(nx, g), _to_nx(nx, h)
+    left = [gn.subgraph(c) for c in nx.connected_components(gn)]
+    right = [hn.subgraph(c) for c in nx.connected_components(hn)]
+    for part in left:
+        match = next((i for i, other in enumerate(right) if nx.is_isomorphic(part, other)), None)
+        if match is None:
+            return False
+        del right[match]
+    return not right
 
 
 def test_regular_construction_pairs_are_not_isomorphic():
@@ -344,7 +385,7 @@ def test_isomorphism_node_cap_raises(monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         is_isomorphic(g, relabel(g, (7, 6, 5, 4, 3, 2, 1, 0)))
     message = str(info.value)
-    assert "order 8" in message and "4 spent" in message
+    assert "order 8" in message and "4 steps" in message
     assert BudgetExceededError is graphs.BudgetExceededError
     report = claims.evaluate_claim("fig1.noniso")
     assert report.status == "skipped-budget"
@@ -352,18 +393,11 @@ def test_isomorphism_node_cap_raises(monkeypatch):
 
 
 def test_isomorphism_rejects_unions_with_different_components(monkeypatch):
-    # 5*C6 against 4*C6 + 2*C3 agrees in order, size and degrees; without the
-    # component check the search exhausts any cap here (50,000 nodes at order 30)
+    # 5*C6 against 4*C6 + 2*C3 agrees in order, size and degrees; without
+    # component matching the search exhausts any cap here (50,000 nodes at order 30)
     monkeypatch.setattr(graphs, "ISO_NODE_CAP", 20)
-
-    def union(*parts):
-        out = parts[0]
-        for part in parts[1:]:
-            out = disjoint_union(out, part)
-        return out
-
-    five = union(*[cycle(6)] * 5)
-    mixed = union(*[cycle(6)] * 4, cycle(3), cycle(3))
+    five = _union(*[cycle(6)] * 5)
+    mixed = _union(*[cycle(6)] * 4, cycle(3), cycle(3))
     assert (five.n, five.m, five.degree_sequence()) == (mixed.n, mixed.m, mixed.degree_sequence())
     assert is_isomorphic(five, mixed) == (False, None)
     perm = list(range(30))
@@ -371,6 +405,41 @@ def test_isomorphism_rejects_unions_with_different_components(monkeypatch):
     moved = relabel(five, tuple(perm))
     iso, mapping = is_isomorphic(five, moved)
     assert iso and relabel(five, mapping).adj == moved.adj
+
+
+def test_isomorphism_cap_is_shared_across_components(monkeypatch):
+    # each C6 pair takes 2 individualisation nodes, 10 over the whole union;
+    # a cap applied per component pair would never raise here
+    five = _union(*[cycle(6)] * 5)
+    perm = list(range(30))
+    random.Random(30).shuffle(perm)
+    moved = relabel(five, tuple(perm))
+    monkeypatch.setattr(graphs, "ISO_NODE_CAP", 8)
+    with pytest.raises(BudgetExceededError) as info:
+        is_isomorphic(five, moved)
+    assert "order 6" in str(info.value) and "9 steps" in str(info.value)
+    monkeypatch.setattr(graphs, "ISO_NODE_CAP", 10)
+    iso, mapping = is_isomorphic(five, moved)
+    assert iso and relabel(five, mapping) == moved
+
+
+def test_isomorphism_matches_components_of_the_same_shape(monkeypatch):
+    # every component is 4-regular on 10 vertices, so only isomorphism
+    # classes tell these unions apart; the search alone needed more than
+    # 50,000 nodes on the first pair
+    monkeypatch.setattr(graphs, "ISO_NODE_CAP", 100)
+    left, right = fig1_left(), fig1_right()
+    assert is_isomorphic(_union(left, left, left, left, right),
+                         _union(left, left, left, right, right)) == (False, None)
+    assert is_isomorphic(_union(left, left, left, right),
+                         _union(left, left, right, right)) == (False, None)
+    g = _union(left, left, left, right, right)
+    perm = list(range(50))
+    random.Random(5).shuffle(perm)
+    h = relabel(g, tuple(perm))
+    iso, mapping = is_isomorphic(g, h)
+    assert iso
+    _assert_checked(g, h, iso, mapping)
 
 
 def test_graph6_k2():
