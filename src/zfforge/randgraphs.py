@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, from_edges
+from .graphs import Graph, complete, from_edges
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -27,12 +27,16 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
     """Random k-regular graph: circulant seed randomized by double edge swaps.
 
     Swaps preserve degrees exactly, so this always succeeds, unlike stub
-    pairing, whose rejection rate explodes for dense degrees.
+    pairing, whose rejection rate explodes for dense degrees.  The empty
+    graph and K_n are the only 0- and (n-1)-regular graphs and admit no swap,
+    so they are returned without drawing from ``rng``.
     """
     if not 0 <= k < n or (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices")
     if k == 0:
         return from_edges(n, [])
+    if k == n - 1:
+        return complete(n)
     offsets = list(range(1, k // 2 + 1))
     if k % 2:
         offsets.append(n // 2)

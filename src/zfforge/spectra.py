@@ -4,11 +4,20 @@ All spectral statements in this package reduce to equality of integer
 polynomial coefficient vectors, so nothing here ever touches floating point.
 Characteristic polynomials det(xI - M) are computed with the Berkowitz
 scheme, which is division-free: only big-integer additions and
-multiplications occur.  The nonzero entries of the trailing submatrix are
-listed as it grows, so the bordering products visit only those nonzeros;
-graph matrices are sparse, and the integers computed are the same as a
-dense loop's.  The dense loop, a fraction-free (Bareiss) determinant and
-a rational-root finder are kept as independent oracles in the test suite
+multiplications occur.  The kernel reads the graph, not a dense matrix, and
+uses the shape of A, L and Q:
+
+* they are symmetric, so each bordering product R B^e C is the dot product
+  of B^a C with B^b C for a + b = e, and only half the Krylov vectors B^a C
+  are built;
+* every off-diagonal entry is 1 (-1 for L) and the diagonal is 0 or the
+  degree, so B v is a sum of v over each vertex's neighbours in the block.
+
+Every step is exact integer arithmetic, so the result is det(xI - M) itself:
+the same integers as the dense loop's, which borders the vertices in the
+opposite order (reordering the vertices leaves det(xI - M) unchanged).
+The dense loop, a fraction-free (Bareiss) determinant and a rational-root
+finder are kept as independent oracles in the test suite
 (``tests/oracles.py``).
 """
 
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass
+from operator import mul
 
 from .graphs import Graph, bits, join
 
@@ -67,65 +77,45 @@ class CharPoly:
         return cls(tuple(int(c) for c in data))
 
 
-def matrix_of(g: Graph, kind: MatrixKind) -> list[list[int]]:
-    n = g.n
-    m = [[0] * n for _ in range(n)]
-    for v in range(n):
-        deg = g.degree(v)
-        if kind is MatrixKind.LAPLACIAN:
-            m[v][v] = deg
-        elif kind is MatrixKind.SIGNLESS_LAPLACIAN:
-            m[v][v] = deg
-        for u in bits(g.adj[v]):
-            if kind is MatrixKind.ADJACENCY:
-                m[v][u] = 1
-            elif kind is MatrixKind.LAPLACIAN:
-                m[v][u] = -1
-            else:
-                m[v][u] = 1
-    return m
-
-
-def _berkowitz(m: list[list[int]], n: int) -> list[int]:
-    # Coefficients of det(xI - M), built up one principal submatrix at a time.
-    # Each step multiplies by a lower-triangular Toeplitz matrix whose column
-    # is [1, -a, -R C, -R B C, -R B^2 C, ...] for the current bordering.
-    # ``trail`` lists the nonzero (row, column, value) entries of the trailing
-    # submatrix B, so the products B^k C visit only its nonzeros.
+def _berkowitz(g: Graph, kind: MatrixKind) -> list[int]:
+    # Coefficients of det(xI - M), built up one leading principal submatrix at
+    # a time: bordering vertex p onto the block B on vertices 0..p-1 multiplies
+    # by a lower-triangular Toeplitz matrix whose column is
+    # [1, -a, -R C, -R B C, -R B^2 C, ...].  M is symmetric, so R = C^T and
+    # R B^e C = (B^a C).(B^b C) for a + b = e: only the vectors B^a C with
+    # a <= p/2 are built.  C is the off-diagonal sign times the 0/1 indicator
+    # of p's neighbours in the block, and the sign cancels in R B^e C, so the
+    # indicator serves for all three kinds.  B v is a row sum: diag[s] v[s]
+    # plus the sign times the sum of v over nbrs[s], the neighbours of s
+    # inside the block.
+    sign = -1 if kind is MatrixKind.LAPLACIAN else 1
+    diag: list[int] = []
+    nbrs: list[list[int]] = []
     poly = [1]
-    trail: list[tuple[int, int, int]] = []
-    for i in range(n - 1, -1, -1):
-        size = n - i
-        r = [(t, m[i][t]) for t in range(i + 1, n) if m[i][t]]
-        c = [0] * (i + 1) + [m[t][i] for t in range(i + 1, n)]
-        col = [1, -m[i][i]]
-        v = c
-        for j in range(1, size):
-            col.append(-sum(x * v[t] for t, x in r))
-            if j < size - 1:
-                w = [0] * n
-                for s, t, x in trail:
-                    w[s] += x * v[t]
-                v = w
-        trail += [(s, i, c[s]) for s in range(i + 1, n) if c[s]]
-        trail += [(i, t, x) for t, x in r]
-        if m[i][i]:
-            trail.append((i, i, m[i][i]))
-        new = [0] * (size + 1)
-        for cidx, pc in enumerate(poly):
-            if pc:
-                for j, cj in enumerate(col):
-                    ridx = cidx + j
-                    if ridx <= size:
-                        new[ridx] += cj * pc
-        poly = new
+    for p, row in enumerate(g.adj):
+        below = list(bits(row & ((1 << p) - 1)))
+        u = [row >> q & 1 for q in range(p)]
+        krylov = [u]
+        for _ in range(p // 2):
+            krylov.append(u := [d * x + sign * sum(map(u.__getitem__, nb))
+                                for d, x, nb in zip(diag, u, nbrs)])
+        a = 0 if kind is MatrixKind.ADJACENCY else row.bit_count()
+        col = [1, -a] + [-sum(map(mul, krylov[(e + 1) // 2], krylov[e // 2]))
+                         for e in range(p)]
+        for q in below:
+            nbrs[q].append(p)
+        nbrs.append(below)
+        diag.append(a)
+        # the Toeplitz product, truncated to degree p + 1
+        rpoly = poly[::-1]
+        poly = [sum(map(mul, col, rpoly[p - r:])) for r in range(p + 1)]
+        poly.append(sum(map(mul, col[1:], rpoly)))
     return poly
 
 
 def char_poly(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> CharPoly:
     """Exact char poly det(xI - M) for the chosen matrix of g."""
-    coeffs = _berkowitz(matrix_of(g, kind), g.n)
-    return CharPoly(tuple(coeffs))
+    return CharPoly(tuple(_berkowitz(g, kind)))
 
 
 def cospectral(g: Graph, h: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> bool:

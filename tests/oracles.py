@@ -3,8 +3,8 @@ and helpers that only the tests use."""
 
 from zfforge.constructions import circulant_h, h_witness_set
 from zfforge.forcing import Rule, _close, closure, zero_forcing_number
-from zfforge.graphs import Graph
-from zfforge.spectra import CharPoly
+from zfforge.graphs import Graph, bits
+from zfforge.spectra import CharPoly, MatrixKind
 
 
 def random_subset_mask(rng, n: int) -> int:
@@ -76,6 +76,19 @@ def zf_h_check(k: int) -> bool:
         return False
     final, _ = closure(h, Rule.STANDARD, h_witness_set(k))
     return final == h.full_mask
+
+
+def matrix_of(g: Graph, kind: MatrixKind) -> list[list[int]]:
+    """The dense A, L or Q matrix of g, for the dense oracles below."""
+    n = g.n
+    off = -1 if kind is MatrixKind.LAPLACIAN else 1
+    m = [[0] * n for _ in range(n)]
+    for v in range(n):
+        if kind is not MatrixKind.ADJACENCY:
+            m[v][v] = g.degree(v)
+        for u in bits(g.adj[v]):
+            m[v][u] = off
+    return m
 
 
 def dense_berkowitz(m: list[list[int]], n: int) -> list[int]:

@@ -17,9 +17,9 @@ from zfforge.forcing import Rule, closure, zero_forcing_number
 from zfforge.graphs import complement, disjoint_union
 from zfforge.randgraphs import random_graph
 from zfforge.skew_rank import SkewWitness, exact_rank
-from zfforge.spectra import MatrixKind, char_poly, cospectral, matrix_of
+from zfforge.spectra import MatrixKind, char_poly, cospectral
 
-from oracles import det_exact, gosper_minimum, random_subset_mask
+from oracles import det_exact, gosper_minimum, matrix_of, random_subset_mask
 
 ALL_RULES = (Rule.STANDARD, Rule.SKEW, Rule.PSD)
 

@@ -442,6 +442,16 @@ def test_isomorphism_matches_components_of_the_same_shape(monkeypatch):
     _assert_checked(g, h, iso, mapping)
 
 
+def test_random_regular_graph_returns_empty_and_complete_without_drawing():
+    # K_n admits no double-edge swap, so no attempt may be spent on it
+    rng = random.Random(17)
+    state = rng.getstate()
+    for n in range(1, 12):
+        assert random_regular_graph(rng, n, n - 1) == complete(n)
+        assert random_regular_graph(rng, n, 0) == empty(n)
+    assert rng.getstate() == state
+
+
 def test_graph6_k2():
     assert emit_graph6(complete(2)) == "A_"
 

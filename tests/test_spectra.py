@@ -1,17 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
-from zfforge.graphs import (complete, complete_bipartite, cycle, ex32_g,
-                            ex32_gprime, fig1_left, fig1_right, grid_lattice,
-                            path, relabel, tensor)
+from zfforge.constructions import (planted_switching_instance, regular_construction,
+                                   shrikhande)
+from zfforge.graphs import (complete, complete_bipartite, cycle, disjoint_union,
+                            empty, ex32_g, ex32_gprime, fig1_left, fig1_right,
+                            grid_lattice, path, relabel, tensor)
 from zfforge.randgraphs import random_graph, random_regular_graph
 from zfforge.spectra import (CharPoly, MatrixKind, char_poly, cospectral,
-                             kind_from_letter, laplacian_join_identity_check,
-                             matrix_of, regular_cospectral_report,
-                             regular_join_adjacency_check)
+                             _pshift, kind_from_letter, laplacian_join_identity_check,
+                             regular_cospectral_report, regular_join_adjacency_check)
 
-from oracles import dense_berkowitz, det_exact, integer_roots
+from oracles import dense_berkowitz, det_exact, integer_roots, matrix_of
 
 ALL_KINDS = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS_LAPLACIAN)
 
@@ -66,10 +68,45 @@ def test_charpoly_matches_dense_berkowitz_oracle():
     graphs = [random_graph(rng, rng.randint(0, 24), p)
               for p in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95) for _ in range(10)]
     graphs += [complete(12), cycle(17), grid_lattice(4)]
+    # past n = 24: dense, complete, empty, isolated vertices, disconnected
+    graphs += [random_graph(rng, 36, 0.9), complete(33), empty(30),
+               disjoint_union(random_graph(rng, 25, 0.5), empty(4)),
+               disjoint_union(random_graph(rng, 14, 0.4), cycle(13))]
     for g in graphs:
         for kind in ALL_KINDS:
             m = matrix_of(g, kind)
             assert list(char_poly(g, kind).coeffs) == dense_berkowitz(m, g.n)
+
+
+# sha256 of the A, L and Q coefficient tuples of _pinned_corpus(), recorded
+# with the sparse trailing-block Berkowitz loop that preceded the symmetric
+# kernel
+_PINNED_CHARPOLY_SHA256 = "ec65d221b56769332862fc9375deb8e6798de4a000491a0f0e7d10a94c46f06d"
+
+
+def _pinned_corpus():
+    pair = regular_construction(7)
+    rng = random.Random(0)
+    return [pair.g, pair.g_prime, grid_lattice(4), shrikhande(),
+            *(planted_switching_instance(rng, n, n)[0] for n in (32, 48, 64))]
+
+
+def test_charpoly_is_pinned():
+    polys = [char_poly(g, kind).coeffs for g in _pinned_corpus() for kind in ALL_KINDS]
+    assert hashlib.sha256(repr(polys).encode()).hexdigest() == _PINNED_CHARPOLY_SHA256
+
+
+def test_regular_charpoly_shift_identities_at_large_order():
+    # for a d-regular graph Q = A + dI and L = dI - A, so with no oracle:
+    #   charQ(x) = charA(x - d)  and  charL(x) = (-1)^n charA(d - x)
+    rng = random.Random(131)
+    for n, d in ((48, 5), (64, 6)):
+        g = random_regular_graph(rng, n, d)
+        a = list(char_poly(g, MatrixKind.ADJACENCY).coeffs)
+        assert list(char_poly(g, MatrixKind.SIGNLESS_LAPLACIAN).coeffs) == _pshift(a, -d)
+        # (-1)^n charA(-y) has coefficients (-1)^j a_j, degree-descending
+        reflected = [(-1) ** j * c for j, c in enumerate(a)]
+        assert list(char_poly(g, MatrixKind.LAPLACIAN).coeffs) == _pshift(reflected, -d)
 
 
 def test_charpoly_matches_sympy():
