@@ -27,13 +27,18 @@ set forces everything exactly when it meets every fort, so each component
 minimum is a minimum hitting set of its forts (the fort cover of Brimkov,
 Fast and Hicks, EJOR 2019).  Forts are generated lazily: a set that fails to
 close is grown, one vertex at a time while it stays proper, into a maximal
-closed set whose complement is a minimal fort.  A depth-first search branches
-on the unhit fort with the fewest allowed vertices, bans each vertex once
-tried, prunes when a greedy packing of disjoint unhit forts needs more picks
-than are left, and runs the real closure at every leaf.  Cardinalities are
-searched in increasing order from a proven lower bound in the component's
-minimum degree delta: Z >= delta, Z_plus >= treewidth >= delta and
-Z_minus >= delta - 1.  Every value is therefore decided by exhaustive proof.
+closed set whose complement is a minimal fort.  One depth-first branch and
+bound finds the minimum: the incumbent, the smallest forcing set found so
+far, starts as the whole component, and a node may pick only as many more
+vertices as keep its set below the incumbent.  A node branches on the unhit
+fort with the fewest allowed vertices, bans each vertex once tried, prunes
+when a greedy packing of disjoint unhit forts needs more picks than are
+left, and runs the real closure at every leaf; a leaf that closes becomes
+the incumbent.  The search stops early when the incumbent meets the proven
+lower bound in the component's minimum degree delta: Z >= delta,
+Z_plus >= treewidth >= delta and Z_minus >= delta - 1.  Otherwise it ends
+only when no smaller set survives, so every value is decided by exhaustive
+proof, and the proof that nothing of size Z - 1 forces is made once.
 Search effort is metered by one ``graphs.Budget`` per solve, set only by the
 ``budget`` argument: every closure evaluation and every branch node spends
 one step.  The first step past the budget raises BudgetExceededError naming
@@ -49,10 +54,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .graphs import (Budget, BudgetExceededError, Graph, bits, components,
-                     induced_subgraph, is_connected, join, mask_components)
+                     induced_subgraph, is_connected, join)
 
 DEFAULT_ORDER_CAP = 24
 
@@ -96,6 +101,7 @@ class ForcingCertificate:
 class ZfResult:
     """Exact minimum, a replayable witness, and the search steps spent.
 
+    The witness replays the union of the components' final incumbents.
     ``explored`` counts closure evaluations plus branch nodes of the fort
     search, summed over components; it is the budget the solve used.
     """
@@ -119,45 +125,47 @@ def _as_mask(initial: VertexSetLike, n: int) -> int:
 def _close(adj, full, blue, skew, psd, trace=None):
     """Closure of ``blue`` in the graph with rows ``adj`` and vertex mask ``full``.
 
-    The actors are the blue vertices, or every vertex under skew.  An actor
-    forces a white neighbour that is its only neighbour among the white
-    vertices, or under psd in that neighbour's white component.  A pass
-    visits the actors in order and fires each force when it finds it (psd
-    keeps the components from the start of the pass: they only split, so the
-    forces stay legal).  A pass that fires nothing ends the closure.  With a
-    ``trace`` list a pass stops at its first force, the lexicographically
-    least (actor, target) pair, and appends it.
+    A pass takes the white regions in turn: all white vertices, or under psd
+    each white component, grown by the same loop that ORs the region's rows
+    into ``once`` (the vertices with a neighbour in the region) and ``twice``
+    (those with two or more).  The actors are ``once & ~twice``, only blue
+    ones unless skew, and each forces its one neighbour in the region.  A
+    force legal at the start of a pass stays legal as white shrinks (psd
+    components only split), so a pass fires them all; a pass that fires
+    nothing ends the closure.  With a ``trace`` list a pass fires only the
+    lexicographically least (actor, target) pair, and appends it.
     """
-    vertices = range(full.bit_length())
     while True:
-        white = full & ~blue
-        if not white:
-            return blue
-        comps = mask_components(adj, white) if psd else ()
-        start = blue
-        for u in vertices:
-            if not (skew or blue >> u & 1):
-                continue
-            row = adj[u] & white
-            if not psd:
-                newly = row if row and not row & (row - 1) else 0
-            else:
-                newly = 0
-                if row:
-                    for comp in comps:
-                        wn = row & comp
-                        if wn and not wn & (wn - 1):
-                            newly |= wn
-            if newly:
+        rest = full & ~blue
+        newly, pairs = 0, []
+        while rest:
+            region = rest & -rest if psd else rest
+            todo, once, twice = region, 0, 0
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                row = adj[low.bit_length() - 1]
+                twice |= once & row
+                once |= row
+                if psd:
+                    grow = row & rest & ~region
+                    region |= grow
+                    todo |= grow
+            rest &= ~region
+            actors = once & ~twice if skew else once & ~twice & blue
+            while actors:
+                low = actors & -actors
+                actors ^= low
+                target = adj[low.bit_length() - 1] & region
+                newly |= target
                 if trace is not None:
-                    newly &= -newly
-                    trace.append((u, newly.bit_length() - 1))
-                    blue |= newly
-                    break
-                blue |= newly
-                white &= ~newly
-        if blue == start:
+                    pairs.append((low.bit_length() - 1, target.bit_length() - 1))
+        if pairs:
+            trace.append(min(pairs))
+            newly = 1 << trace[-1][1]
+        if not newly:
             return blue
+        blue |= newly
 
 
 def closure(g: Graph, rule: Rule, initial: VertexSetLike) -> tuple[int, ForcingCertificate]:
@@ -178,40 +186,27 @@ def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: boo
     if any(not 0 <= v < g.n for v in cert.initial):
         return False
     blue = set(cert.initial)
-    initial = set(cert.initial)
-    forced = set()
     for actor, target in cert.forces:
         if not 0 <= actor < g.n or not 0 <= target < g.n:
             return False
-        if target in blue or target in forced or target in initial:
+        # blue holds the initial set and every vertex forced so far
+        if target in blue or not g.has_edge(actor, target):
             return False
-        if not g.has_edge(actor, target):
+        if cert.rule is not Rule.SKEW and actor not in blue:
             return False
-        white = set(range(g.n)) - blue
-        if cert.rule is Rule.STANDARD:
-            if actor not in blue:
-                return False
-            if {w for w in bits(g.adj[actor]) if w in white} != {target}:
-                return False
-        elif cert.rule is Rule.SKEW:
-            if {w for w in bits(g.adj[actor]) if w in white} != {target}:
-                return False
-        else:
-            if actor not in blue:
-                return False
-            # component of target inside the white-induced subgraph
-            comp = {target}
-            stack = [target]
+        # the white set the exactly-one test looks at: all white vertices, or
+        # under psd the target's component of the white-induced subgraph
+        white = scope = set(range(g.n)) - blue
+        if cert.rule is Rule.PSD:
+            scope, stack = {target}, [target]
             while stack:
-                v = stack.pop()
-                for u in bits(g.adj[v]):
-                    if u in white and u not in comp:
-                        comp.add(u)
+                for u in bits(g.adj[stack.pop()]):
+                    if u in white and u not in scope:
+                        scope.add(u)
                         stack.append(u)
-            if {w for w in bits(g.adj[actor]) if w in comp} != {target}:
-                return False
+        if {w for w in bits(g.adj[actor]) if w in scope} != {target}:
+            return False
         blue.add(target)
-        forced.add(target)
     if require_all_blue and len(blue) != g.n:
         return False
     return True
@@ -233,7 +228,9 @@ def _component_minimum(adj, n, rule: Rule, budget: Budget) -> tuple[int, int]:
     budget.what = f"{rule.value} search on a component of order {n}"
     full = (1 << n) - 1
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
+    bound = _lower_bound(adj, rule)
     forts: list[int] = []
+    best = full  # the incumbent: the smallest forcing set found so far
 
     def minimal_fort(closed: int) -> int:
         # grow the proper closed set to a maximal one; its complement is a
@@ -248,23 +245,28 @@ def _component_minimum(adj, n, rule: Rule, budget: Budget) -> tuple[int, int]:
                 closed = grown
         return full & ~closed
 
-    def search(chosen: int, banned: int, left: int, unhit: list[int]) -> Optional[int]:
+    def search(chosen: int, depth: int, banned: int, unhit: list[int]) -> bool:
         # unhit: the known forts that miss chosen.  Every fort found below
         # this node misses chosen too, so it is appended here on the way back.
+        # Returns True once the incumbent meets the lower bound.
+        nonlocal best
+        left = best.bit_count() - 1 - depth  # picks that stay below the incumbent
+        if left < 0:
+            return False
         budget.spend()
         while not unhit:
             budget.spend()
             closed = _close(adj, full, chosen, skew, psd)
             if closed == full:
-                return chosen
-            fort = minimal_fort(closed)
-            forts.append(fort)
-            unhit.append(fort)
+                best = chosen
+                return depth == bound
+            forts.append(minimal_fort(closed))
+            unhit.append(forts[-1])
         if left == 0:
-            return None
+            return False
         allowed = sorted((f & ~banned for f in unhit), key=int.bit_count)
         if not allowed[0]:
-            return None
+            return False
         # forts with pairwise-disjoint allowed parts each need their own pick
         disjoint, used = 0, 0
         for f in allowed:
@@ -272,24 +274,18 @@ def _component_minimum(adj, n, rule: Rule, budget: Budget) -> tuple[int, int]:
                 used |= f
                 disjoint += 1
                 if disjoint > left:
-                    return None
+                    return False
         for v in bits(allowed[0]):
             low = 1 << v
             known = len(forts)
-            found = search(chosen | low, banned, left - 1, [f for f in unhit if not f & low])
-            if found is not None:
-                return found
+            if search(chosen | low, depth + 1, banned, [f for f in unhit if not f & low]):
+                return True
             unhit.extend(forts[known:])
             banned |= low
-        return None
+        return False
 
-    k = _lower_bound(adj, rule)
-    while (found := search(0, 0, k, list(forts))) is None:
-        k += 1
-    if found.bit_count() != k:
-        raise AssertionError(
-            f"fort search found {found.bit_count()} vertices at cardinality {k}")
-    return k, found
+    search(0, 0, 0, [])
+    return best.bit_count(), best
 
 
 def zero_forcing_number(g: Graph, rule: Rule, *,
@@ -302,9 +298,7 @@ def zero_forcing_number(g: Graph, rule: Rule, *,
     search steps.
     """
     state = Budget(budget)
-
-    initial = 0
-    value = 0
+    initial = value = 0
     for comp in components(g):
         sub, verts = induced_subgraph(g, comp)
         if sub.n > order_cap:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .graphs import Graph, complete, from_edges
 
@@ -28,8 +29,9 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
 
     Swaps preserve degrees exactly, so this always succeeds, unlike stub
     pairing, whose rejection rate explodes for dense degrees.  The empty
-    graph and K_n are the only 0- and (n-1)-regular graphs and admit no swap,
-    so they are returned without drawing from ``rng``.
+    graph and K_n admit no swap and are returned without drawing from
+    ``rng``.  K_n minus a perfect matching, up to isomorphism the only
+    (n-2)-regular graph, admits few swaps, so its matching is drawn instead.
     """
     if not 0 <= k < n or (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices")
@@ -37,6 +39,10 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
         return from_edges(n, [])
     if k == n - 1:
         return complete(n)
+    if k == n - 2:
+        order = rng.sample(range(n), n)
+        matching = set(zip(order[::2], order[1::2])) | set(zip(order[1::2], order[::2]))
+        return from_edges(n, [e for e in combinations(range(n), 2) if e not in matching])
     offsets = list(range(1, k // 2 + 1))
     if k % 2:
         offsets.append(n // 2)

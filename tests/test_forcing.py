@@ -233,6 +233,14 @@ def test_lowest_pair_tie_break():
     final, cert = closure(g, Rule.STANDARD, [0, 3])
     assert final == g.full_mask
     assert cert.forces[0] == (0, 1)
+    # under psd blue 0 has one white neighbour in each white component: 3 in
+    # {1, 3}, the component of the least white vertex, and 2 in {2}; the
+    # least target fires first
+    g = from_edges(4, [(0, 2), (0, 3), (1, 3)])
+    final, cert = closure(g, Rule.PSD, [0])
+    assert final == g.full_mask
+    assert cert.forces == ((0, 2), (0, 3), (3, 1))
+    assert verify_certificate(g, cert)
 
 
 def test_initial_accepts_masks_and_iterables():
@@ -346,6 +354,10 @@ def test_fort_search_matches_gosper_oracle():
     while len(fixtures) < 220:
         n = rng.randint(1, 10)
         fixtures.append(random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.7, 0.9))))
+    # dense and sparse graphs at n = 11..13, whose values lie well above the
+    # starting bound and where the first forcing set the branch and bound
+    # finds is often larger than the optimum
+    fixtures += [random_graph(rng, n, p) for n in (11, 12, 13) for p in (0.2, 0.3, 0.7, 0.85)]
     disconnected = isolated = 0
     for g in fixtures:
         comps = components(g)
@@ -361,3 +373,25 @@ def test_fort_search_matches_gosper_oracle():
                 sub, _verts = induced_subgraph(g, comp)
                 assert gosper_minimum(sub, rule) >= _starting_bound(sub, rule)
     assert disconnected >= 50 and isolated >= 30
+
+
+def test_branch_and_bound_spends_no_more_steps_than_deepening():
+    # steps the deepening search (every cardinality from the starting bound)
+    # spent, as (standard, skew, psd).  A value at its bound stops the search
+    # at the first forcing set of that size (C20 under skew sits one above
+    # delta - 1); a value above it is proved once, by exploring only sets
+    # smaller than the incumbent, which a search that also explored sets as
+    # large as the incumbent would exceed.
+    petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                          + [(i, i + 5) for i in range(5)])
+    parent_steps = {"C20": (cycle(20), (2, 2, 2), (45, 38, 45)),
+                    "P20": (path(20), (1, 0, 1), (24, 2, 24)),
+                    "K12": (complete(12), (11, 10, 11), (101, 97, 101)),
+                    "fig1_left": (fig1_left(), (6, 4, 5), (376, 452, 356)),
+                    "petersen": (petersen, (5, 4, 4), (280, 194, 473))}
+    for name, (g, values, steps) in parent_steps.items():
+        for rule, value, most in zip(ALL_RULES, values, steps):
+            result = zero_forcing_number(g, rule)
+            assert result.value == value, (name, rule)
+            assert result.explored <= most, (name, rule, result.explored)

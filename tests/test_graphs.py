@@ -452,6 +452,15 @@ def test_random_regular_graph_returns_empty_and_complete_without_drawing():
     assert rng.getstate() == state
 
 
+def test_random_regular_graph_of_degree_n_minus_two():
+    # K_n minus a perfect matching, drawn from rng without double-edge swaps
+    rng = random.Random(19)
+    for n in range(4, 65, 2):
+        g = random_regular_graph(rng, n, n - 2)
+        assert g.n == n and g.is_regular() == n - 2
+    assert len({random_regular_graph(rng, 10, 8).adj for _ in range(5)}) > 1
+
+
 def test_graph6_k2():
     assert emit_graph6(complete(2)) == "A_"
 
