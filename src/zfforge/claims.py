@@ -6,13 +6,13 @@ here as one claim with a frozen id, a constant expected value carrying its
 provenance tag, and an evaluator that recomputes the value from scratch and
 attaches replayable certificates.
 
-Most claims are one row of a table: ``_FORCING`` (an exact Z, Z+ or Z- of one
-graph under one rule), ``_COSPECTRAL`` (a pair shares its adjacency char
-poly), ``_NONISO`` (a pair is non-isomorphic), ``_REGCOSPEC`` (a regular pair
-is cospectral for every matrix) and ``_SWEEPS`` (seeded random pairs).  A
-graph cell is a thunk and a fixture cell an id prefix, which ``_fixture``
-builds on first use, so importing this module builds no graph.  Claims of
-any other shape keep a body of their own.
+Every claim is one row of ``_CATALOG``: (id, description, tag, expected,
+evaluator, *args).  The evaluator is a module-level function called with the
+row's arguments, then the seed, and returns the computed value and the
+certificates.  A graph argument is a thunk and a fixture argument an id
+prefix, which ``_fixture`` builds on first use, so importing this module
+builds no graph.  Every exact forcing value comes from ``_zf_claim``, which
+solves, replays the witness independently and attaches it.
 
 ``run_claims`` evaluates any id-prefix slice of the catalog, optionally
 across processes, and always reports in canonical id order.
@@ -127,110 +127,56 @@ def _zf_claim(g: graphs.Graph, rule: Rule) -> tuple[object, dict]:
 
 
 # ---------------------------------------------------------------------------
-# the tables: one row per claim
+# evaluators: each is called with its row's arguments, then the seed
 # ---------------------------------------------------------------------------
 
-# exact forcing numbers, tag "paper": (id, description, expected, graph, rule)
-_FORCING = (
-    ("fig1.Z.left", "standard forcing number of the left fixture", 6, _member("fig1", 0), Rule.STANDARD),
-    ("fig1.Z.right", "standard forcing number of the right fixture", 4, _member("fig1", 1), Rule.STANDARD),
-    ("fig1.Zplus.left", "psd forcing number of the left fixture", 5, _member("fig1", 0), Rule.PSD),
-    ("fig1.Zplus.right", "psd forcing number of the right fixture", 4, _member("fig1", 1), Rule.PSD),
-    ("fig1.Zminus.left", "skew forcing number of the left fixture", 4, _member("fig1", 0), Rule.SKEW),
-    ("fig1.Zminus.right", "skew forcing number of the right fixture", 4, _member("fig1", 1), Rule.SKEW),
-    ("ex32.Zminus.G", "skew forcing number of the cycle+isolated fixture", 3, _member("ex32", 0), Rule.SKEW),
-    ("ex32.Zminus.Gprime", "skew forcing number of the spider fixture", 1, _member("ex32", 1), Rule.SKEW),
-    ("tensor.Z.G", "standard forcing number of (cycle+isolated) x K3", 13,
-     _member("tensor", 0), Rule.STANDARD),
-    ("tensor.Zminus.G", "skew forcing number of (cycle+isolated) x K3", 13, _member("tensor", 0), Rule.SKEW),
-    ("tensor.Z.Gprime", "standard forcing number of spider x K3", 9, _member("tensor", 1), Rule.STANDARD),
-    ("tensor.Zminus.Gprime", "skew forcing number of spider x K3", 9, _member("tensor", 1), Rule.SKEW),
-    ("cartesian.Zplus.r2", "psd forcing number of the 2x2 rook's graph", 2,
-     lambda: graphs.grid_lattice(2), Rule.PSD),
-    ("cartesian.Zplus.r3", "psd forcing number of the 3x3 rook's graph", 5,
-     lambda: graphs.grid_lattice(3), Rule.PSD),
-    ("join.family.fig1.Z.left", "forcing number of left fixture joined with K2 is 2 + 6", 8,
-     _member("join.family", 0), Rule.STANDARD),
-    ("join.family.fig1.Z.right", "forcing number of right fixture joined with K2 is 2 + 4", 6,
-     _member("join.family", 1), Rule.STANDARD),
-    ("join.iterated.fig1", "one self-join of the left fixture has forcing number 10 + 6", 16,
-     lambda: graphs.iterated_join(_pair("fig1")[0], 1), Rule.STANDARD),
-    ("thm51.Z.Gprime", "forcing number of the assembled graph is 10 + 4 + 1", 15,
-     _member("thm51", 0), Rule.STANDARD),
-    ("thm51.Z.Gdoubleprime", "forcing number of the switched graph is 10 + 6 + 1", 17,
-     _member("thm51", 1), Rule.STANDARD),
-    *((f"regular6k.k{k}.ZH", f"k={k}: forcing number of the circulant core is 2k - 2", 2 * k - 2,
-       lambda k=k: cons.circulant_h(k), Rule.STANDARD) for k in (2, 3)),
-    *((f"regular6k.k{k}.Z.G", f"k={k}: forcing number of the construction is 4k - 2", 4 * k - 2,
-       _member(f"regular6k.k{k}", 0), Rule.STANDARD) for k in (2, 3)),
-)
-
-# adjacency cospectrality of a fixture pair, tag "paper": (id, description, fixture)
-_COSPECTRAL = (
-    ("fig1.cospectral.A", "fixture pair shares its adjacency char poly", "fig1"),
-    ("ex32.cospectral.A", "cycle+isolated vs spider share the adjacency char poly", "ex32"),
-    ("tensor.cospectral.A", "tensor products with K3 stay adjacency-cospectral", "tensor"),
-    ("cartesian.cospectral.A", "rook's grid and switched mate are adjacency-cospectral", "cartesian"),
-    ("thm51.cospectral.A", "assembled pair is adjacency-cospectral", "thm51"),
-    *((f"regular6k.k{k}.cospectral.A", f"k={k}: pair is adjacency-cospectral", f"regular6k.k{k}")
-      for k in (2, 3)),
-)
-
-# non-isomorphism of a fixture pair, tag "paper": (id, description, fixture)
-_NONISO = (
-    ("cartesian.noniso", "rook's grid and switched mate are non-isomorphic", "cartesian"),
-    ("thm51.noniso", "assembled pair is non-isomorphic", "thm51"),
-    *((f"regular6k.k{k}.noniso", f"k={k}: pair is non-isomorphic", f"regular6k.k{k}")
-      for k in (2, 3)),
-)
-
-# a regular pair is cospectral for A, L, Q (verified) and normalized L
-# (derived), tag "derived": (id, description, fixture, degree)
-_REGCOSPEC = (
-    ("regcospec.fig1",
-     "fixture pair: regular, so cospectral for A, L, Q (verified) and normalized (derived)", "fig1", 4),
-    ("regcospec.grid_shrikhande", "rook's grid vs its switched mate: all-matrix cospectrality",
-     "cartesian", 6),
-    ("regcospec.regular6k.k2", "6k-vertex construction, k=2: all-matrix cospectrality", "regular6k.k2", 4),
-    ("regcospec.regular6k.k3", "6k-vertex construction, k=3: all-matrix cospectrality", "regular6k.k3", 6),
-)
-_REGCOSPEC_EXPECTED = {"regular": True, "adjacency": True, "laplacian": True,
-                       "signless": True, "normalized_derived": True}
+def _zf(graph: Callable[[], graphs.Graph], rule: Rule, seed: int) -> tuple[object, dict]:
+    return _zf_claim(graph(), rule)
 
 
-def _random_regular(rng: random.Random) -> graphs.Graph:
-    n = rng.randint(2, 8)
-    return random_regular_graph(rng, n, rng.choice([k for k in range(n) if (n * k) % 2 == 0]))
+def _zf_at_most(graph: Callable[[], graphs.Graph], bound: int, seed: int) -> tuple[object, dict]:
+    value, certs = _zf_claim(graph(), Rule.STANDARD)
+    return certs["independent_replay"] and value <= bound, {"value": value, **certs}
 
 
-# seeded random sweeps, tag "derived", expected: every pair passes
-# (id, description, rng offset, pairs, draw one graph, check a pair)
-_SWEEPS = (
-    ("join.laplacian_identity.sweep", "Laplacian join identity on 50 random pairs of order <= 8", 11, 50,
-     lambda rng: random_graph(rng, rng.randint(1, 8)), lambda g, h: laplacian_join_identity_check(g, h)),
-    ("join.regular_adjacency.sweep", "adjacency join identity on 50 random regular pairs of order <= 8",
-     12, 50, _random_regular, lambda g, h: regular_join_adjacency_check(g, h)),
-    ("join.zf_formula.standard.sweep", "join formula vs exact solver, standard rule, 30 connected pairs",
-     13, 30, lambda rng: random_connected_graph(rng, rng.randint(2, 6)),
-     lambda g, h: zf_join_formula_check(g, h, Rule.STANDARD)),
-    ("join.zf_formula.skew.sweep", "join formula vs exact solver, skew rule, 30 connected pairs",
-     14, 30, lambda rng: random_connected_graph(rng, rng.randint(2, 6)),
-     lambda g, h: zf_join_formula_check(g, h, Rule.SKEW)),
-)
+@lru_cache(maxsize=None)
+def _grid_pair_zplus(which: int) -> tuple[object, dict]:
+    # keyed on ``which`` alone, so that cartesian.bound.r11 reuses both solves
+    return _zf_claim(_pair("cartesian")[which], Rule.PSD)
 
 
-def _cospectral_row(prefix: str, seed: int) -> tuple[object, dict]:
+def _grid_zplus(which: int, seed: int) -> tuple[object, dict]:
+    return _grid_pair_zplus(which)
+
+
+def _grid_bound(r: int, seed: int) -> tuple[object, dict]:
+    report = cons.grid_shrikhande_report(r, _grid_pair_zplus(0)[0], _grid_pair_zplus(1)[0])
+    return report.separation_holds, {"report": report.to_json()}
+
+
+def _torus(s: int, t: int, seed: int) -> tuple[object, dict]:
+    value, certs = _zf_claim(graphs.cartesian(graphs.cycle(s), graphs.cycle(t)), Rule.STANDARD)
+    certs["formula_value"] = cons.torus_zero_forcing(s, t)
+    return value, certs
+
+
+def _cospectral(prefix: str, seed: int) -> tuple[object, dict]:
     g, h = _pair(prefix)
     pg, ph = char_poly(g, MatrixKind.ADJACENCY), char_poly(h, MatrixKind.ADJACENCY)
     return pg == ph, {"char_poly_g": pg.to_json(), "char_poly_h": ph.to_json()}
 
 
-def _noniso_row(prefix: str, seed: int) -> tuple[object, dict]:
+def _noniso(prefix: str, seed: int) -> tuple[object, dict]:
     iso, _m = graphs.is_isomorphic(*_pair(prefix))
     return not iso, {}
 
 
-def _regcospec_row(prefix: str, degree: int, seed: int) -> tuple[object, dict]:
+def _noniso_with_degrees(prefix: str, seed: int) -> tuple[object, dict]:
+    computed, _certs = _noniso(prefix, seed)
+    return computed, {"degree_sequence": list(_pair(prefix)[0].degree_sequence())}
+
+
+def _regcospec(prefix: str, degree: int, seed: int) -> tuple[object, dict]:
     rep = regular_cospectral_report(*_pair(prefix))
     computed = {"regular": rep.regular and rep.degree == degree,
                 "adjacency": rep.adjacency_cospectral,
@@ -240,33 +186,21 @@ def _regcospec_row(prefix: str, degree: int, seed: int) -> tuple[object, dict]:
     return computed, {"report": rep.to_json()}
 
 
-def _sweep(offset: int, pairs: int, draw, check, seed: int) -> tuple[object, dict]:
-    rng = random.Random(1_000_003 * seed + offset)
-    return sum(1 for _i in range(pairs) if check(draw(rng), draw(rng))), {"pairs": pairs}
+def _regular_pair(prefix: str, order: int, degree: int, seed: int) -> tuple[object, dict]:
+    g, g_prime = _pair(prefix)
+    return g.n == order and g.is_regular() == degree and g_prime.is_regular() == degree, {}
 
 
-for _id, _description, _expected, _graph, _rule in _FORCING:
-    _claim(_id, _description, "paper", _expected)(
-        lambda seed, graph=_graph, rule=_rule: _zf_claim(graph(), rule))
-for _id, _description, _prefix in _COSPECTRAL:
-    _claim(_id, _description, "paper", True)(partial(_cospectral_row, _prefix))
-for _id, _description, _prefix in _NONISO:
-    _claim(_id, _description, "paper", True)(partial(_noniso_row, _prefix))
-for _id, _description, _prefix, _degree in _REGCOSPEC:
-    _claim(_id, _description, "derived", _REGCOSPEC_EXPECTED)(partial(_regcospec_row, _prefix, _degree))
-for _id, _description, _offset, _pairs, _draw, _check in _SWEEPS:
-    _claim(_id, _description, "derived", _pairs)(partial(_sweep, _offset, _pairs, _draw, _check))
+def _switching_set(prefix: str, seed: int) -> tuple[object, dict]:
+    validation = _fixture(prefix).partition.validation
+    return validation.ok, {"validation": validation.to_json()}
 
 
-# ---------------------------------------------------------------------------
-# claims with bodies of their own
-# ---------------------------------------------------------------------------
-
-@_claim("fig1.noniso", "fixture pair is non-isomorphic", "paper", True)
-def _(seed):
-    g, h = _pair("fig1")
-    iso, _m = graphs.is_isomorphic(g, h)
-    return not iso, {"degree_sequence": list(g.degree_sequence())}
+def _core_witness(k: int, seed: int) -> tuple[object, dict]:
+    h = cons.circulant_h(k)
+    final, cert = closure(h, Rule.STANDARD, cons.h_witness_set(k))
+    ok = final == h.full_mask and verify_certificate(h, cert)
+    return ok, {"graph6": graphs.emit_graph6(h), "certificate": cert.to_json()}
 
 
 def _skew_nullity(which: int, seed: int) -> tuple[object, dict]:
@@ -283,41 +217,12 @@ def _skew_nullity(which: int, seed: int) -> tuple[object, dict]:
     return computed, certs
 
 
-_claim("ex32.skew_nullity.G", "maximum skew nullity witness meets the skew forcing number (cycle+isolated)",
-       "paper", {"nullity": 3, "equals_skew_forcing_number": True})(partial(_skew_nullity, 0))
-_claim("ex32.skew_nullity.Gprime", "maximum skew nullity witness meets the skew forcing number (spider)",
-       "paper", {"nullity": 1, "equals_skew_forcing_number": True})(partial(_skew_nullity, 1))
-
-
-@lru_cache(maxsize=None)
-def _grid_pair_zplus(which: int):
-    return _zf_claim(_pair("cartesian")[which], Rule.PSD)
-
-
-# not table rows: these two solves are shared with cartesian.bound.r11
-_claim("cartesian.Zplus.r4", "psd forcing number of the 4x4 rook's graph", "paper", 10)(
-    lambda seed: _grid_pair_zplus(0))
-_claim("cartesian.Zplus.shrikhande", "psd forcing number of the switched mate", "paper", 9)(
-    lambda seed: _grid_pair_zplus(1))
-
-
-@_claim("cartesian.bound.r11", "product bound separation at r = 11 (99 < 100)", "paper", True)
-def _(seed):
-    report = cons.grid_shrikhande_report(11, _grid_pair_zplus(0)[0], _grid_pair_zplus(1)[0])
-    return report.separation_holds, {"report": report.to_json()}
-
-
-@_claim("join.family.fig1.laplacian_identity", "join family pairs satisfy the Laplacian join identity",
-        "derived", True)
-def _(seed):
-    g1, g2 = _pair("fig1")
+def _joined_with_k2(prefix: str, seed: int) -> tuple[object, dict]:
     k2 = graphs.complete(2)
-    return (laplacian_join_identity_check(g1, k2)
-            and laplacian_join_identity_check(g2, k2)), {}
+    return all(laplacian_join_identity_check(g, k2) for g in _pair(prefix)), {}
 
 
-@_claim("thm51.switch_audit", "switched graph matches the directly built swap", "derived", True)
-def _(seed):
+def _switch_audit(seed: int) -> tuple[object, dict]:
     pair = _fixture("thm51")
     g1, g2 = _pair("fig1")
     m = dict(pair.params)["m"]
@@ -326,21 +231,8 @@ def _(seed):
     return iso, {"mapping": list(mapping) if iso else None}
 
 
-def _torus(s: int, t: int, seed: int) -> tuple[object, dict]:
-    value, certs = _zf_claim(graphs.cartesian(graphs.cycle(s), graphs.cycle(t)), Rule.STANDARD)
-    certs["formula_value"] = cons.torus_zero_forcing(s, t)
-    return value, certs
-
-
-_claim("cor52.torus.C3C3", "torus C3 box C3 forcing number (equal odd case)", "paper", 5)(partial(_torus, 3, 3))
-_claim("cor52.torus.C3C4", "torus C3 box C4 forcing number", "paper", 6)(partial(_torus, 3, 4))
-_claim("cor52.torus.C4C4", "torus C4 box C4 forcing number", "paper", 8)(partial(_torus, 4, 4))
-
-
-@_claim("cor52.params.c3", "c = 3 parameters: orders, formula values, gap 4c - 8", "paper",
-        {"order": 36, "z_first": 8, "z_second": 12, "gap": 4, "regular_4": True})
-def _(seed):
-    report = cons.corollary52_family(3)
+def _cor52_params(c: int, seed: int) -> tuple[object, dict]:
+    report = cons.corollary52_family(c)
     regular4 = (report.g1 is not None and report.g1.is_regular() == 4
                 and report.g2 is not None and report.g2.is_regular() == 4)
     computed = {"order": report.order, "z_first": report.z_first,
@@ -348,47 +240,129 @@ def _(seed):
     return computed, {"report": report.to_json()}
 
 
+def _sweep(offset: int, pairs: int, draw, check, seed: int) -> tuple[object, dict]:
+    rng = random.Random(1_000_003 * seed + offset)
+    return sum(1 for _i in range(pairs) if check(draw(rng), draw(rng))), {"pairs": pairs}
+
+
+def _random_regular(rng: random.Random) -> graphs.Graph:
+    n = rng.randint(2, 8)
+    return random_regular_graph(rng, n, rng.choice([k for k in range(n) if (n * k) % 2 == 0]))
+
+
 # ---------------------------------------------------------------------------
-# the 6k-vertex regular construction, k in {2, 3}
+# the catalog: one row per claim
 # ---------------------------------------------------------------------------
 
-def _reg6k_claims(k: int):
-    prefix = f"regular6k.k{k}"
+_REGCOSPEC_EXPECTED = {"regular": True, "adjacency": True, "laplacian": True,
+                       "signless": True, "normalized_derived": True}
 
-    @_claim(f"{prefix}.regular", f"k={k}: graph is 2k-regular of order 6k", "paper", True)
-    def _(seed):
-        g, g_prime = _pair(prefix)
-        return (g.n == 6 * k and g.is_regular() == 2 * k
-                and g_prime.is_regular() == 2 * k), {}
+# (id, description, tag, expected, evaluator, *args).  The sweeps' spectra
+# checks are lambdas that look the function up at call time, so that a tracer
+# rebinding module names (bench/tracing.py) sees the calls.
+_CATALOG = (
+    ("fig1.Z.left", "standard forcing number of the left fixture", "paper", 6,
+     _zf, _member("fig1", 0), Rule.STANDARD),
+    ("fig1.Z.right", "standard forcing number of the right fixture", "paper", 4,
+     _zf, _member("fig1", 1), Rule.STANDARD),
+    ("fig1.Zplus.left", "psd forcing number of the left fixture", "paper", 5,
+     _zf, _member("fig1", 0), Rule.PSD),
+    ("fig1.Zplus.right", "psd forcing number of the right fixture", "paper", 4,
+     _zf, _member("fig1", 1), Rule.PSD),
+    ("fig1.Zminus.left", "skew forcing number of the left fixture", "paper", 4,
+     _zf, _member("fig1", 0), Rule.SKEW),
+    ("fig1.Zminus.right", "skew forcing number of the right fixture", "paper", 4,
+     _zf, _member("fig1", 1), Rule.SKEW),
+    ("fig1.cospectral.A", "fixture pair shares its adjacency char poly", "paper", True, _cospectral, "fig1"),
+    ("fig1.noniso", "fixture pair is non-isomorphic", "paper", True, _noniso_with_degrees, "fig1"),
+    ("regcospec.fig1", "fixture pair: regular, so cospectral for A, L, Q (verified) and normalized (derived)",
+     "derived", _REGCOSPEC_EXPECTED, _regcospec, "fig1", 4),
+    ("ex32.Zminus.G", "skew forcing number of the cycle+isolated fixture", "paper", 3,
+     _zf, _member("ex32", 0), Rule.SKEW),
+    ("ex32.Zminus.Gprime", "skew forcing number of the spider fixture", "paper", 1,
+     _zf, _member("ex32", 1), Rule.SKEW),
+    ("ex32.cospectral.A", "cycle+isolated vs spider share the adjacency char poly", "paper", True,
+     _cospectral, "ex32"),
+    ("ex32.skew_nullity.G", "maximum skew nullity witness meets the skew forcing number (cycle+isolated)",
+     "paper", {"nullity": 3, "equals_skew_forcing_number": True}, _skew_nullity, 0),
+    ("ex32.skew_nullity.Gprime", "maximum skew nullity witness meets the skew forcing number (spider)",
+     "paper", {"nullity": 1, "equals_skew_forcing_number": True}, _skew_nullity, 1),
+    ("tensor.Z.G", "standard forcing number of (cycle+isolated) x K3", "paper", 13,
+     _zf, _member("tensor", 0), Rule.STANDARD),
+    ("tensor.Zminus.G", "skew forcing number of (cycle+isolated) x K3", "paper", 13,
+     _zf, _member("tensor", 0), Rule.SKEW),
+    ("tensor.Z.Gprime", "standard forcing number of spider x K3", "paper", 9,
+     _zf, _member("tensor", 1), Rule.STANDARD),
+    ("tensor.Zminus.Gprime", "skew forcing number of spider x K3", "paper", 9,
+     _zf, _member("tensor", 1), Rule.SKEW),
+    ("tensor.cospectral.A", "tensor products with K3 stay adjacency-cospectral", "paper", True,
+     _cospectral, "tensor"),
+    ("cartesian.Zplus.r2", "psd forcing number of the 2x2 rook's graph", "paper", 2,
+     _zf, partial(graphs.grid_lattice, 2), Rule.PSD),
+    ("cartesian.Zplus.r3", "psd forcing number of the 3x3 rook's graph", "paper", 5,
+     _zf, partial(graphs.grid_lattice, 3), Rule.PSD),
+    ("cartesian.Zplus.r4", "psd forcing number of the 4x4 rook's graph", "paper", 10, _grid_zplus, 0),
+    ("cartesian.Zplus.shrikhande", "psd forcing number of the switched mate", "paper", 9, _grid_zplus, 1),
+    ("cartesian.bound.r11", "product bound separation at r = 11 (99 < 100)", "paper", True, _grid_bound, 11),
+    ("cartesian.cospectral.A", "rook's grid and switched mate are adjacency-cospectral", "paper", True,
+     _cospectral, "cartesian"),
+    ("cartesian.noniso", "rook's grid and switched mate are non-isomorphic", "paper", True,
+     _noniso, "cartesian"),
+    ("regcospec.grid_shrikhande", "rook's grid vs its switched mate: all-matrix cospectrality",
+     "derived", _REGCOSPEC_EXPECTED, _regcospec, "cartesian", 6),
+    ("join.family.fig1.Z.left", "forcing number of left fixture joined with K2 is 2 + 6", "paper", 8,
+     _zf, _member("join.family", 0), Rule.STANDARD),
+    ("join.family.fig1.Z.right", "forcing number of right fixture joined with K2 is 2 + 4", "paper", 6,
+     _zf, _member("join.family", 1), Rule.STANDARD),
+    ("join.family.fig1.laplacian_identity", "join family pairs satisfy the Laplacian join identity",
+     "derived", True, _joined_with_k2, "fig1"),
+    ("join.iterated.fig1", "one self-join of the left fixture has forcing number 10 + 6", "paper", 16,
+     _zf, lambda: graphs.iterated_join(_pair("fig1")[0], 1), Rule.STANDARD),
+    ("join.laplacian_identity.sweep", "Laplacian join identity on 50 random pairs of order <= 8",
+     "derived", 50, _sweep, 11, 50, lambda rng: random_graph(rng, rng.randint(1, 8)),
+     lambda g, h: laplacian_join_identity_check(g, h)),
+    ("join.regular_adjacency.sweep", "adjacency join identity on 50 random regular pairs of order <= 8",
+     "derived", 50, _sweep, 12, 50, _random_regular, lambda g, h: regular_join_adjacency_check(g, h)),
+    ("join.zf_formula.standard.sweep", "join formula vs exact solver, standard rule, 30 connected pairs",
+     "derived", 30, _sweep, 13, 30, lambda rng: random_connected_graph(rng, rng.randint(2, 6)),
+     partial(zf_join_formula_check, rule=Rule.STANDARD)),
+    ("join.zf_formula.skew.sweep", "join formula vs exact solver, skew rule, 30 connected pairs",
+     "derived", 30, _sweep, 14, 30, lambda rng: random_connected_graph(rng, rng.randint(2, 6)),
+     partial(zf_join_formula_check, rule=Rule.SKEW)),
+    ("thm51.Z.Gprime", "forcing number of the assembled graph is 10 + 4 + 1", "paper", 15,
+     _zf, _member("thm51", 0), Rule.STANDARD),
+    ("thm51.Z.Gdoubleprime", "forcing number of the switched graph is 10 + 6 + 1", "paper", 17,
+     _zf, _member("thm51", 1), Rule.STANDARD),
+    ("thm51.cospectral.A", "assembled pair is adjacency-cospectral", "paper", True, _cospectral, "thm51"),
+    ("thm51.noniso", "assembled pair is non-isomorphic", "paper", True, _noniso, "thm51"),
+    ("thm51.switch_audit", "switched graph matches the directly built swap", "derived", True, _switch_audit),
+    ("cor52.torus.C3C3", "torus C3 box C3 forcing number (equal odd case)", "paper", 5, _torus, 3, 3),
+    ("cor52.torus.C3C4", "torus C3 box C4 forcing number", "paper", 6, _torus, 3, 4),
+    ("cor52.torus.C4C4", "torus C4 box C4 forcing number", "paper", 8, _torus, 4, 4),
+    ("cor52.params.c3", "c = 3 parameters: orders, formula values, gap 4c - 8", "paper",
+     {"order": 36, "z_first": 8, "z_second": 12, "gap": 4, "regular_4": True}, _cor52_params, 3),
+    # the 6k-vertex regular construction, k in {2, 3}
+    *(row for k, p in ((2, "regular6k.k2"), (3, "regular6k.k3")) for row in (
+        (f"{p}.regular", f"k={k}: graph is 2k-regular of order 6k", "paper", True,
+         _regular_pair, p, 6 * k, 2 * k),
+        (f"{p}.switching_set", f"k={k}: core plus clique validates as a switching set", "paper", True,
+         _switching_set, p),
+        (f"{p}.cospectral.A", f"k={k}: pair is adjacency-cospectral", "paper", True, _cospectral, p),
+        (f"{p}.noniso", f"k={k}: pair is non-isomorphic", "paper", True, _noniso, p),
+        (f"regcospec.{p}", f"6k-vertex construction, k={k}: all-matrix cospectrality", "derived",
+         _REGCOSPEC_EXPECTED, _regcospec, p, 2 * k),
+        (f"{p}.ZH", f"k={k}: forcing number of the circulant core is 2k - 2", "paper", 2 * k - 2,
+         _zf, partial(cons.circulant_h, k), Rule.STANDARD),
+        (f"{p}.ZH.witness", f"k={k}: the canonical core witness set closes", "paper", True, _core_witness, k),
+        (f"{p}.Z.G", f"k={k}: forcing number of the construction is 4k - 2", "paper", 4 * k - 2,
+         _zf, _member(p, 0), Rule.STANDARD),
+        (f"{p}.Zbound.Gprime", f"k={k}: switched graph has forcing number at most 4k - 3", "paper", True,
+         _zf_at_most, _member(p, 1), 4 * k - 3),
+    )),
+)
 
-    @_claim(f"{prefix}.switching_set", f"k={k}: core plus clique validates as a switching set",
-            "paper", True)
-    def _(seed):
-        validation = _fixture(prefix).partition.validation
-        return validation.ok, {"validation": validation.to_json()}
-
-    @_claim(f"{prefix}.ZH.witness", f"k={k}: the canonical core witness set closes", "paper", True)
-    def _(seed):
-        h = cons.circulant_h(k)
-        final, cert = closure(h, Rule.STANDARD, cons.h_witness_set(k))
-        ok = final == h.full_mask and verify_certificate(h, cert)
-        return ok, {"graph6": graphs.emit_graph6(h), "certificate": cert.to_json()}
-
-    @_claim(f"{prefix}.Zbound.Gprime", f"k={k}: switched graph has forcing number at most 4k - 3",
-            "paper", True)
-    def _(seed):
-        switched = _pair(prefix)[1]
-        result = zero_forcing_number(switched, Rule.STANDARD)
-        replay = verify_certificate(switched, result.witness)
-        certs = {"value": result.value,
-                 "graph6": graphs.emit_graph6(switched),
-                 "certificate": result.witness.to_json(),
-                 "independent_replay": replay}
-        return result.value <= 4 * k - 3 and replay, certs
-
-
-_reg6k_claims(2)
-_reg6k_claims(3)
+for _id, _description, _tag, _expected, _evaluator, *_args in _CATALOG:
+    _claim(_id, _description, _tag, _expected)(partial(_evaluator, *_args))
 
 
 # ---------------------------------------------------------------------------

@@ -277,15 +277,14 @@ class Corollary52Report:
     gap: int
     g1: Optional[Graph]
     g2: Optional[Graph]
-    assembled: Optional[ConstructionPair]
-    skipped: Optional[str]
+    skipped: str
 
     def to_json(self) -> dict:
         return {"c": self.c, "order": self.order,
                 "z_first": self.z_first, "z_second": self.z_second, "gap": self.gap,
                 "g1": emit_graph6(self.g1) if self.g1 is not None else None,
                 "g2": emit_graph6(self.g2) if self.g2 is not None else None,
-                "assembled": self.assembled.to_json() if self.assembled else None,
+                "assembled": None,  # never fits the order cap; the key stays in the report
                 "skipped": self.skipped}
 
 
@@ -305,14 +304,9 @@ def corollary52_family(c: int) -> Corollary52Report:
     if order <= graphs.ORDER_CAP:
         g1 = cartesian(cycle(4), cycle(c * c))
         g2 = cartesian(cycle(2 * c), cycle(2 * c))
-    assembled = None
-    skipped = None
-    if g1 is not None and 3 * order <= graphs.ORDER_CAP:
-        assembled = theorem51_build(g1, g2, order)
-    else:
-        skipped = (f"assembled pair would need order {3 * order} > cap "
-                   f"{graphs.ORDER_CAP}")
-    return Corollary52Report(c, order, z1, z2, z2 - z1, g1, g2, assembled, skipped)
+    skipped = (f"assembled pair would need order {3 * order} > cap "
+               f"{graphs.ORDER_CAP}")
+    return Corollary52Report(c, order, z1, z2, z2 - z1, g1, g2, skipped)
 
 
 # ---------------------------------------------------------------------------

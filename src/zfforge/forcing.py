@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .graphs import (Budget, BudgetExceededError, Graph, bits, components,
-                     induced_subgraph, is_connected, join)
+                     is_connected, join)
 
 DEFAULT_ORDER_CAP = 24
 
@@ -216,34 +216,35 @@ def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: boo
 # exact minimum search
 # ---------------------------------------------------------------------------
 
-def _lower_bound(adj, rule: Rule) -> int:
-    """Z >= delta, Z_plus >= tw >= delta and Z_minus >= delta - 1."""
-    delta = min((row.bit_count() for row in adj), default=0)
+def _lower_bound(adj, comp: int, rule: Rule) -> int:
+    """Z >= delta, Z_plus >= tw >= delta and Z_minus >= delta - 1, with delta
+    the minimum degree over the vertices of ``comp``."""
+    delta = min(adj[v].bit_count() for v in bits(comp))
     return max(delta - 1, 0) if rule is Rule.SKEW else delta
 
 
-def _component_minimum(adj, n, rule: Rule, budget: Budget) -> tuple[int, int]:
-    """Minimum forcing set as a minimum hitting set of lazily generated forts
-    (see the module docstring); returns (size, mask)."""
-    budget.what = f"{rule.value} search on a component of order {n}"
-    full = (1 << n) - 1
+def _component_minimum(adj, comp: int, rule: Rule, budget: Budget) -> int:
+    """Minimum forcing set of the connected component ``comp`` (a vertex mask
+    of the graph with rows ``adj``), as a minimum hitting set of lazily
+    generated forts (see the module docstring); returns its mask."""
+    budget.what = f"{rule.value} search on a component of order {comp.bit_count()}"
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
-    bound = _lower_bound(adj, rule)
+    bound = _lower_bound(adj, comp, rule)
     forts: list[int] = []
-    best = full  # the incumbent: the smallest forcing set found so far
+    best = comp  # the incumbent: the smallest forcing set found so far
 
     def minimal_fort(closed: int) -> int:
         # grow the proper closed set to a maximal one; its complement is a
         # minimal fort
-        for v in bits(full & ~closed):
+        for v in bits(comp & ~closed):
             low = 1 << v
             if closed & low:
                 continue
             budget.spend()
-            grown = _close(adj, full, closed | low, skew, psd)
-            if grown != full:
+            grown = _close(adj, comp, closed | low, skew, psd)
+            if grown != comp:
                 closed = grown
-        return full & ~closed
+        return comp & ~closed
 
     def search(chosen: int, depth: int, banned: int, unhit: list[int]) -> bool:
         # unhit: the known forts that miss chosen.  Every fort found below
@@ -256,8 +257,8 @@ def _component_minimum(adj, n, rule: Rule, budget: Budget) -> tuple[int, int]:
         budget.spend()
         while not unhit:
             budget.spend()
-            closed = _close(adj, full, chosen, skew, psd)
-            if closed == full:
+            closed = _close(adj, comp, chosen, skew, psd)
+            if closed == comp:
                 best = chosen
                 return depth == bound
             forts.append(minimal_fort(closed))
@@ -285,7 +286,7 @@ def _component_minimum(adj, n, rule: Rule, budget: Budget) -> tuple[int, int]:
         return False
 
     search(0, 0, 0, [])
-    return best.bit_count(), best
+    return best
 
 
 def zero_forcing_number(g: Graph, rule: Rule, *,
@@ -298,21 +299,17 @@ def zero_forcing_number(g: Graph, rule: Rule, *,
     search steps.
     """
     state = Budget(budget)
-    initial = value = 0
+    initial = 0
     for comp in components(g):
-        sub, verts = induced_subgraph(g, comp)
-        if sub.n > order_cap:
+        if comp.bit_count() > order_cap:
             raise BudgetExceededError(
-                f"component of order {sub.n} exceeds the order cap {order_cap}")
-        k, mask = _component_minimum(sub.adj, sub.n, rule, state)
-        value += k
-        for b in bits(mask):
-            initial |= 1 << verts[b]
+                f"component of order {comp.bit_count()} exceeds the order cap {order_cap}")
+        initial |= _component_minimum(g.adj, comp, rule, state)
 
     final, cert = closure(g, rule, initial)
     if final != g.full_mask:
         raise AssertionError("solver witness failed deterministic replay")
-    return ZfResult(value, cert, state.spent)
+    return ZfResult(initial.bit_count(), cert, state.spent)
 
 
 def zf_join_formula_check(g: Graph, h: Graph, rule: Rule) -> bool:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
-from .graphs import Graph, complete, from_edges
+from .graphs import Graph, complement, from_edges
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -28,21 +27,15 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
     """Random k-regular graph: circulant seed randomized by double edge swaps.
 
     Swaps preserve degrees exactly, so this always succeeds, unlike stub
-    pairing, whose rejection rate explodes for dense degrees.  The empty
-    graph and K_n admit no swap and are returned without drawing from
-    ``rng``.  K_n minus a perfect matching, up to isomorphism the only
-    (n-2)-regular graph, admits few swaps, so its matching is drawn instead.
+    pairing, whose rejection rate explodes for dense degrees.  Dense graphs
+    admit few swaps (K_n none), so for 2k > n - 1 the result is the
+    complement of a random (n - 1 - k)-regular graph.  The empty graph, and
+    so K_n, is returned without drawing from ``rng``.
     """
     if not 0 <= k < n or (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices")
-    if k == 0:
-        return from_edges(n, [])
-    if k == n - 1:
-        return complete(n)
-    if k == n - 2:
-        order = rng.sample(range(n), n)
-        matching = set(zip(order[::2], order[1::2])) | set(zip(order[1::2], order[::2]))
-        return from_edges(n, [e for e in combinations(range(n), 2) if e not in matching])
+    if 2 * k > n - 1:
+        return complement(random_regular_graph(rng, n, n - 1 - k))
     offsets = list(range(1, k // 2 + 1))
     if k % 2:
         offsets.append(n // 2)

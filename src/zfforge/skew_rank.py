@@ -35,7 +35,6 @@ from typing import Mapping, Optional
 from .graphs import Graph, bits, components, induced_subgraph
 
 _ENTRY_CHOICES = (1, -1, 2, -2, 3, -3)
-_EXHAUSTIVE_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,9 @@ def max_nullity_witness_search(g: Graph, *,
 
     Per component: spanning-forest entries are pinned to +1 and the
     remaining entries range over {1,2,3} with both signs.  When the grid for
-    a component exceeds ``_EXHAUSTIVE_CAP`` or the remaining ``budget`` (a cap
-    on rank evaluations), that component falls back to seeded random
-    sampling and the result is no longer marked certified.
+    a component exceeds the remaining ``budget`` (a cap on rank
+    evaluations), that component falls back to seeded random sampling and
+    the result is no longer marked certified.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -185,7 +184,7 @@ def max_nullity_witness_search(g: Graph, *,
         for i, j in pinned:
             mat[i][j], mat[j][i] = 1, -1
 
-        if grid <= _EXHAUSTIVE_CAP and grid <= remaining:
+        if grid <= remaining:
             assignments = itertools.product(_ENTRY_CHOICES, repeat=len(free))
         else:
             certified = False

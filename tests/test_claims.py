@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from zfforge import claims
@@ -141,6 +144,11 @@ def test_claim_report_json_shape():
     assert isinstance(data["wall_time"], float)
 
 
+# sha256 of the sorted (claim id, sorted certificate keys) pairs: the report
+# may gain certificate keys, but only deliberately, with this digest updated
+CERTIFICATE_KEYS_SHA256 = "29a9db175425695b1d5f407daf2ede601104c02a7e1dcfc8906ab336d08e1833"
+
+
 def test_attached_certificates_are_self_contained():
     # a third party holding only the report JSON can replay every forcing
     # certificate: the solved graph travels with it as graph6
@@ -148,7 +156,10 @@ def test_attached_certificates_are_self_contained():
     from zfforge.graphs import parse_graph6
 
     checked = 0
-    for report in run_claims(jobs=2):
+    reports = run_claims(jobs=2)
+    keys = sorted((r.claim_id, sorted(r.certificates)) for r in reports)
+    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == CERTIFICATE_KEYS_SHA256
+    for report in reports:
         certs = report.certificates
         if "certificate" in certs and "graph6" in certs:
             g = parse_graph6(certs["graph6"])

@@ -461,6 +461,18 @@ def test_random_regular_graph_of_degree_n_minus_two():
     assert len({random_regular_graph(rng, 10, 8).adj for _ in range(5)}) > 1
 
 
+def test_dense_random_regular_graph_is_the_complement_of_a_sparse_draw():
+    # above half the order few double-edge swaps exist, so the complement of
+    # the (n - 1 - k)-regular draw from the same rng state is returned
+    for n in range(2, 17):
+        for k in range(n):
+            if 2 * k > n - 1 and n * k % 2 == 0:
+                rng = random.Random(n * 100 + k)
+                sparse = random_regular_graph(random.Random(n * 100 + k), n, n - 1 - k)
+                g = random_regular_graph(rng, n, k)
+                assert g == complement(sparse) and g.is_regular() == k
+
+
 def test_graph6_k2():
     assert emit_graph6(complete(2)) == "A_"
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from zfforge import skew_rank
 from zfforge.forcing import Rule, zero_forcing_number
 from zfforge.graphs import (complete, cycle, empty, ex32_g, ex32_gprime, fig1_left,
                             from_edges, path)
@@ -104,11 +103,10 @@ def test_pattern_validation():
         _rank(g, {(1, 0): 1, (1, 2): 1})  # lower-triangle key
 
 
-def test_randomized_mode_is_seeded_and_uncertified(monkeypatch):
-    monkeypatch.setattr(skew_rank, "_EXHAUSTIVE_CAP", 0)
-    g = cycle(6)
-    seen = max_nullity_witness_search(g, seed=5)
-    again = max_nullity_witness_search(g, seed=5)
+def test_randomized_mode_is_seeded_and_uncertified():
+    g = cycle(6)  # one free edge: a grid of 6, above the budget of 5
+    seen = max_nullity_witness_search(g, budget=5, seed=5)
+    again = max_nullity_witness_search(g, budget=5, seed=5)
     assert not seen.certified
     assert seen.entries == again.entries
     assert seen.achieved_nullity == again.achieved_nullity
