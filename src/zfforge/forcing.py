@@ -39,11 +39,33 @@ lower bound in the component's minimum degree delta: Z >= delta,
 Z_plus >= treewidth >= delta and Z_minus >= delta - 1.  Otherwise it ends
 only when no smaller set survives, so every value is decided by exhaustive
 proof, and the proof that nothing of size Z - 1 forces is made once.
+
+The branching is orbital (Ostrowski, Linderoth, Rossi and Smriglio,
+"Orbital branching", Math. Prog. 2011).  Each node carries a group of
+automorphisms of the component that fix its chosen vertices one by one and
+map its banned set onto itself.  The root's is the component's whole group
+(``graphs.automorphism_group``); the child that adds v gets the elements of
+its parent's group that fix v.  Once the child on v has failed, the node
+bans v's whole orbit under its group, not v alone, and skips vertices that
+are already banned.  This is sound because an automorphism p carries
+forcing sets to forcing sets of the same size: a forcing set S that holds
+the node's chosen vertices, avoids its banned set and contains p(v) gives
+the forcing set p^-1(S), which still holds the chosen vertices (p fixes
+them), still avoids the banned set (p maps it onto itself) and contains v,
+so the failed child on v would have found it.  A banned set that grows by
+whole orbits stays invariant, so the argument holds at every step.  It
+needs each node's group to be closed under composition: the "orbits" of a
+truncated list of elements are not orbits of anything, so a group past
+``graphs.AUT_GROUP_CAP`` elements, or one whose generator search runs out
+of budget, is replaced by the identity alone, never cut short.
+
 Search effort is metered by one ``graphs.Budget`` per solve, set only by the
 ``budget`` argument: every closure evaluation and every branch node spends
 one step.  The first step past the budget raises BudgetExceededError naming
 the rule, the component's order and the steps spent; a component above the
-order cap raises it too.  Neither degrades to an approximation.
+order cap raises it too.  Neither degrades to an approximation.  The
+automorphism group is found with a budget of its own, so
+``ZfResult.explored`` counts fort-search steps only.
 Nothing is remembered between solves: every call searches from scratch.
 
 Certificates use a deterministic tie-break so witnesses are byte-stable: at
@@ -56,8 +78,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import (Budget, BudgetExceededError, Graph, bits, components,
-                     is_connected, join)
+from .graphs import (Budget, BudgetExceededError, Graph, automorphism_group, bits,
+                     components, induced_subgraph, is_connected, join)
 
 DEFAULT_ORDER_CAP = 24
 
@@ -223,11 +245,27 @@ def _lower_bound(adj, comp: int, rule: Rule) -> int:
     return max(delta - 1, 0) if rule is Rule.SKEW else delta
 
 
-def _component_minimum(adj, comp: int, rule: Rule, budget: Budget) -> int:
+def _component_group(g: Graph, comp: int) -> list[bytes]:
+    """The automorphism group of the component ``comp`` of g, as
+    permutations of g's own vertex indices that fix every other vertex."""
+    if comp == g.full_mask:
+        return automorphism_group(g)
+    sub, verts = induced_subgraph(g, comp)
+    lifted = bytearray(range(g.n))
+    group = []
+    for p in automorphism_group(sub):
+        for i, v in enumerate(verts):
+            lifted[v] = verts[p[i]]
+        group.append(bytes(lifted))
+    return group
+
+
+def _component_minimum(g: Graph, comp: int, rule: Rule, budget: Budget) -> int:
     """Minimum forcing set of the connected component ``comp`` (a vertex mask
-    of the graph with rows ``adj``), as a minimum hitting set of lazily
-    generated forts (see the module docstring); returns its mask."""
+    of g), as a minimum hitting set of lazily generated forts, branching on
+    automorphism orbits (see the module docstring); returns its mask."""
     budget.what = f"{rule.value} search on a component of order {comp.bit_count()}"
+    adj = g.adj
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
     bound = _lower_bound(adj, comp, rule)
     forts: list[int] = []
@@ -246,10 +284,13 @@ def _component_minimum(adj, comp: int, rule: Rule, budget: Budget) -> int:
                 closed = grown
         return comp & ~closed
 
-    def search(chosen: int, depth: int, banned: int, unhit: list[int]) -> bool:
+    def search(chosen: int, depth: int, banned: int, unhit: list[int],
+               group: list[bytes]) -> bool:
         # unhit: the known forts that miss chosen.  Every fort found below
         # this node misses chosen too, so it is appended here on the way back.
-        # Returns True once the incumbent meets the lower bound.
+        # group: automorphisms of the component that fix chosen pointwise
+        # and map banned onto itself.  Returns True once the incumbent meets
+        # the lower bound.
         nonlocal best
         left = best.bit_count() - 1 - depth  # picks that stay below the incumbent
         if left < 0:
@@ -276,16 +317,25 @@ def _component_minimum(adj, comp: int, rule: Rule, budget: Budget) -> int:
                 disjoint += 1
                 if disjoint > left:
                     return False
+        symmetric = len(group) > 1  # else the identity alone, its own stabiliser
         for v in bits(allowed[0]):
             low = 1 << v
+            if banned & low:  # in the orbit of a vertex already tried
+                continue
             known = len(forts)
-            if search(chosen | low, depth + 1, banned, [f for f in unhit if not f & low]):
+            stabiliser = [p for p in group if p[v] == v] if symmetric else group
+            if search(chosen | low, depth + 1, banned, [f for f in unhit if not f & low],
+                      stabiliser):
                 return True
             unhit.extend(forts[known:])
             banned |= low
+            if symmetric:  # ban v's whole orbit
+                for p in group:
+                    banned |= 1 << p[v]
         return False
 
-    search(0, 0, 0, [])
+    search(0, 0, 0, [], _component_group(g, comp))
+    del search  # it refers to itself: free its forts now, not at a later collection
     return best
 
 
@@ -304,7 +354,7 @@ def zero_forcing_number(g: Graph, rule: Rule, *,
         if comp.bit_count() > order_cap:
             raise BudgetExceededError(
                 f"component of order {comp.bit_count()} exceeds the order cap {order_cap}")
-        initial |= _component_minimum(g.adj, comp, rule, state)
+        initial |= _component_minimum(g, comp, rule, state)
 
     final, cert = closure(g, rule, initial)
     if final != g.full_mask:

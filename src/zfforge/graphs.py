@@ -13,7 +13,10 @@ exhaustive proof; a "yes" returns one checked mapping, which may be any
 isomorphism.  The components of the two graphs are matched up first, so the
 search only runs on connected pairs.  One call may spend at most
 ``ISO_NODE_CAP`` individualisation nodes over all its pairs and raises
-BudgetExceededError past it.  The search has no automorphism pruning.
+BudgetExceededError past it.  The isomorphism search itself has no
+automorphism pruning, but the same machinery, run on a graph against
+itself, lists its automorphism group (``automorphism_group``), which the
+fort search in ``forcing`` branches on.
 
 Product and join operators use row-major vertex order: the vertex (u, u') of
 a product of g and h sits at index u * h.n + u', and a join places all of g
@@ -28,6 +31,7 @@ from typing import Iterable, Iterator, Optional
 
 ORDER_CAP = 64
 ISO_NODE_CAP = 50_000  # individualisation nodes one is_isomorphic call may spend
+AUT_GROUP_CAP = 5_040  # largest automorphism group listed element by element
 
 
 class GraphError(ValueError):
@@ -414,25 +418,49 @@ def is_connected(g: Graph) -> bool:
 # isomorphism
 # ---------------------------------------------------------------------------
 
-def _joint_refine(g: list[tuple[int, ...]], h: list[tuple[int, ...]],
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    # Lists rather than tuples: CPython builds a tuple from a generator by
+    # resizing it, and the resized tuples pile up on its free lists, about
+    # 0.5 MB over the catalog's automorphism searches.
+    return [list(bits(row)) for row in g.adj]
+
+
+def _joint_refine(g: list[list[int]], h: list[list[int]],
                   cg: list[int], ch: list[int]) -> Optional[tuple[list[int], list[int]]]:
     # Refine both colourings to equitable ones with one colour table, so a
     # colour means the same thing in both graphs.  ``g`` and ``h`` are
     # neighbour lists.  None as soon as the two sides stop matching: then no
-    # isomorphism respects the colourings given.
+    # isomorphism respects the colourings given.  A discrete colouring is
+    # equitable already: another round would only rename its colours in the
+    # same order.  A graph refined against itself from equal colourings stays
+    # equal on both sides, so that side is refined once.
+    same = g is h and cg == ch
     ncolors = len(set(cg))
     while True:
         keys_g = [(cg[v], tuple(sorted([cg[u] for u in nbrs]))) for v, nbrs in enumerate(g)]
-        keys_h = [(ch[v], tuple(sorted([ch[u] for u in nbrs]))) for v, nbrs in enumerate(h)]
         ordered = sorted(keys_g)
-        if ordered != sorted(keys_h):
-            return None
+        if not same:
+            keys_h = [(ch[v], tuple(sorted([ch[u] for u in nbrs]))) for v, nbrs in enumerate(h)]
+            if ordered != sorted(keys_h):
+                return None
         table = {k: i for i, k in enumerate(dict.fromkeys(ordered))}
         cg = [table[k] for k in keys_g]
-        ch = [table[k] for k in keys_h]
-        if len(table) == ncolors:
+        ch = cg if same else [table[k] for k in keys_h]
+        if len(table) == ncolors or len(table) == len(g):
             return cg, ch
         ncolors = len(table)
+
+
+def _target_cell(colouring: list[int]) -> Optional[list[int]]:
+    # The smallest non-singleton colour class (least colour on ties), in
+    # vertex order; None when the colouring is discrete.
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colouring):
+        cells.setdefault(c, []).append(v)
+    if len(cells) == len(colouring):
+        return None
+    return min((cell for cell in cells.values() if len(cell) > 1),
+               key=lambda cell: (len(cell), colouring[cell[0]]))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -474,37 +502,126 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, tuple(mapping)
 
 
-def _connected_isomorphism(g: Graph, h: Graph, budget: Budget) -> Optional[tuple[int, ...]]:
-    """A checked mapping of connected g onto connected h, or None."""
+def _connected_isomorphism(g: Graph, h: Graph, budget: Budget,
+                           start: Optional[tuple[list[int], list[int]]] = None
+                           ) -> Optional[tuple[int, ...]]:
+    """A checked mapping of g onto h, or None.
+
+    The search is complete for any pair; ``is_isomorphic`` passes it
+    connected ones.  With ``start``, a pair of colourings, the mapping must
+    also carry each vertex of g to a vertex of h of the same colour.
+    """
+    budget.what = f"isomorphism search on a component of order {g.n}"
+    nbrs_g = _neighbour_lists(g)
+    nbrs_h = nbrs_g if h is g else _neighbour_lists(h)
+    cg, ch = start if start is not None else ([0] * g.n, [0] * h.n)
+    refined = _joint_refine(nbrs_g, nbrs_h, cg, ch)
+    return None if refined is None else _search_mapping(g, h, nbrs_g, nbrs_h, *refined, budget)
+
+
+def _search_mapping(g: Graph, h: Graph, nbrs_g, nbrs_h, cg: list[int], ch: list[int],
+                    budget: Budget) -> Optional[tuple[int, ...]]:
+    # One node of the individualisation tree, below jointly refined
+    # colourings.  A module-level function rather than a nested one, so a
+    # search leaves no reference cycle behind for the garbage collector.
+    cell = _target_cell(cg)
+    if cell is None:
+        where = {c: w for w, c in enumerate(ch)}
+        mapping = tuple(where[c] for c in cg)
+        return mapping if relabel(g, mapping).adj == h.adj else None
+    v, color, fresh = cell[0], cg[cell[0]], max(cg) + 1
+    for w in (w for w, c in enumerate(ch) if c == color):
+        budget.spend()
+        cg2, ch2 = cg[:], ch[:]
+        cg2[v] = ch2[w] = fresh
+        refined = _joint_refine(nbrs_g, nbrs_h, cg2, ch2)
+        if refined is not None:
+            found = _search_mapping(g, h, nbrs_g, nbrs_h, *refined, budget)
+            if found is not None:
+                return found
+    return None
+
+
+def automorphism_group(g: Graph) -> list[bytes]:
+    """Every automorphism of g, as permutations p with p[v] the image of v.
+
+    A graph and its complement have the same automorphisms, so the sparser
+    of the two is searched.  Generators come from one path of the
+    individualisation tree: refine g against itself from its degrees,
+    individualise the first vertex of the target cell, and repeat until the
+    colouring is discrete.  With v_i the vertex
+    individualised at level i, the automorphisms that fix v_1..v_{i-1}
+    form a chain of stabilisers that ends in the identity.  Levels are
+    taken deepest first; at level i every vertex w of the target cell that
+    the generators found so far (all of which fix v_1..v_{i-1}) do not
+    already carry v_i to is tried by one isomorphism search of g onto
+    itself, with v_i individualised on one side and w on the other.  Each
+    mapping found is checked with ``relabel``.  The orbit sizes multiply to
+    the group's order, and the generators are closed under composition
+    into the full list, with the identity first.
+
+    The answer is never an approximation.  When the order exceeds
+    ``AUT_GROUP_CAP``, or the generator search spends more than its own
+    Budget of ``ISO_NODE_CAP`` individualisations, only the identity is
+    returned: the trivial subgroup, a group all the same.
+    """
     n = g.n
-    budget.what = f"isomorphism search on a component of order {n}"
-    nbrs_g = [tuple(bits(row)) for row in g.adj]
-    nbrs_h = [tuple(bits(row)) for row in h.adj]
-
-    def search(cg: list[int], ch: list[int]) -> Optional[tuple[int, ...]]:
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(cg):
-            cells.setdefault(c, []).append(v)
-        if len(cells) == n:
-            where = {c: w for w, c in enumerate(ch)}
-            mapping = tuple(where[c] for c in cg)
-            return mapping if relabel(g, mapping).adj == h.adj else None
-        color = min((c for c, cell in cells.items() if len(cell) > 1),
-                    key=lambda c: (len(cells[c]), c))
-        v = cells[color][0]
-        for w in (w for w, c in enumerate(ch) if c == color):
-            budget.spend()
-            cg2, ch2 = cg[:], ch[:]
-            cg2[v] = ch2[w] = len(cells)
-            refined = _joint_refine(nbrs_g, nbrs_h, cg2, ch2)
-            if refined is not None:
-                found = search(*refined)
+    identity = bytes(range(n))
+    if 4 * g.m > n * (n - 1):  # g and its complement, the sparser, share a group
+        g = complement(g)
+    nbrs = _neighbour_lists(g)
+    colouring = [row.bit_count() for row in g.adj]
+    levels = []  # (the equitable colouring, its target cell, a fresh colour)
+    while True:
+        colouring = _joint_refine(nbrs, nbrs, colouring, colouring)[0]
+        cell = _target_cell(colouring)
+        if cell is None:
+            break
+        levels.append((colouring, cell, max(colouring) + 1))
+        colouring = colouring[:]
+        colouring[cell[0]] = levels[-1][2]
+    budget = Budget(ISO_NODE_CAP)
+    gens: list[bytes] = []
+    order = 1
+    try:
+        for colouring, cell, fresh in reversed(levels):
+            v = cell[0]
+            orbit = _orbit(v, gens)
+            for w in cell:
+                if w in orbit:
+                    continue
+                cg, ch = colouring[:], colouring[:]
+                cg[v] = ch[w] = fresh
+                found = _connected_isomorphism(g, g, budget, (cg, ch))
                 if found is not None:
-                    return found
-        return None
+                    gens.append(bytes(found))
+                    orbit = _orbit(v, gens)
+            order *= len(orbit)
+            if order > AUT_GROUP_CAP:
+                return [identity]
+    except BudgetExceededError:
+        return [identity]
+    # s[p[v]] for every v is p.translate(s padded to a 256-byte table)
+    tables = [s + bytes(range(n, 256)) for s in gens]
+    group, seen = [identity], {identity}
+    for p in group:  # grows while it is read: a breadth-first closure
+        for table in tables:
+            q = p.translate(table)
+            if q not in seen:
+                seen.add(q)
+                group.append(q)
+    return group
 
-    refined = _joint_refine(nbrs_g, nbrs_h, [0] * n, [0] * h.n)
-    return None if refined is None else search(*refined)
+
+def _orbit(v: int, gens: list[bytes]) -> set[int]:
+    orbit, todo = {v}, [v]
+    while todo:
+        u = todo.pop()
+        for s in gens:
+            if s[u] not in orbit:
+                orbit.add(s[u])
+                todo.append(s[u])
+    return orbit
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,23 @@
 """Slow reference implementations that the tests compare fast code against,
 and helpers that only the tests use."""
 
+import itertools
+
 from zfforge.constructions import circulant_h, h_witness_set
 from zfforge.forcing import Rule, _close, closure, zero_forcing_number
-from zfforge.graphs import Graph, bits
+from zfforge.graphs import Graph, bits, from_edges
 from zfforge.spectra import CharPoly, MatrixKind
+
+
+PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)])
+# the Frucht graph, LCF [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]: cubic, with
+# no automorphism but the identity, so its equitable colouring is one cell
+# that is not an orbit
+FRUCHT = from_edges(12, [(i, (i + 1) % 12) for i in range(12)]
+                    + [(i, (i + s) % 12) for i, s in
+                       enumerate((-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2))])
 
 
 def random_subset_mask(rng, n: int) -> int:
@@ -34,6 +47,15 @@ def gosper_minimum(g: Graph, rule) -> int:
             if _close(g.adj, g.full_mask, mask, skew, psd) == g.full_mask:
                 return k
     raise AssertionError("unreachable: the full vertex set always closes")
+
+
+def brute_force_automorphisms(g: Graph) -> set[bytes]:
+    """Every automorphism of g, found by trying all n! permutations: p is one
+    when it carries every edge onto an edge.  Keep n <= 8."""
+    edges = g.edges()
+    arcs = set(edges) | {(v, u) for u, v in edges}
+    return {bytes(p) for p in itertools.permutations(range(g.n))
+            if all((p[u], p[v]) in arcs for u, v in edges)}
 
 
 def set_closure(g: Graph, rule, initial) -> tuple[set[int], list[tuple[int, int]]]:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from zfforge.graphs import (Graph, GraphError, OrderCapError, UnknownGraphError,
+from zfforge.graphs import (AUT_GROUP_CAP, Graph, GraphError, OrderCapError,
+                            UnknownGraphError, automorphism_group,
                             bits, build_named, cartesian, complement, complete,
                             complete_bipartite, components, cycle,
                             disjoint_union, emit_edgelist, emit_graph6, empty,
@@ -16,6 +17,8 @@ from zfforge.constructions import (gm_switch, planted_switching_instance,
                                    regular_construction, shrikhande)
 from zfforge.forcing import BudgetExceededError
 from zfforge.randgraphs import random_graph, random_regular_graph
+
+from oracles import FRUCHT, PETERSEN, brute_force_automorphisms
 
 
 def test_build_named_complete_triangle():
@@ -440,6 +443,87 @@ def test_isomorphism_matches_components_of_the_same_shape(monkeypatch):
     iso, mapping = is_isomorphic(g, h)
     assert iso
     _assert_checked(g, h, iso, mapping)
+
+
+Q3 = cartesian(complete(2), cartesian(complete(2), complete(2)))
+
+
+def _assert_group(g, group, expected=None):
+    # a list of distinct permutations, identity first, each carrying every
+    # row onto the row of its image, closed under composition; equal to the
+    # oracle's group when one is given, or to the identity alone when that
+    # group is longer than the cap
+    identity = bytes(range(g.n))
+    assert group[0] == identity and len(set(group)) == len(group)
+    if expected is not None:
+        assert set(group) == (expected if len(expected) <= AUT_GROUP_CAP else {identity})
+    for p in group:
+        assert sorted(p) == list(range(g.n))
+        for v in range(g.n):
+            assert mask_from(p[u] for u in bits(g.adj[v])) == g.adj[p[v]]
+    members = set(group)
+    rng = random.Random(g.n)
+    # right multiplication by a member permutes a group; for large groups
+    # a sample of members stands in for all of them
+    for q in group if len(group) <= 200 else rng.sample(group, 8):
+        assert {bytes(q[x] for x in p) for p in group} == members
+
+
+def test_automorphism_group_matches_brute_force():
+    rng = random.Random(61)
+    fixtures = [empty(0), empty(1), empty(4), complete(7), Q3, complete_bipartite(3, 3),
+                complete_bipartite(1, 6), ex32_g(), ex32_gprime()]
+    fixtures += [cycle(n) for n in range(3, 9)] + [path(n) for n in range(2, 8)]
+    while len(fixtures) < 80:
+        fixtures.append(random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.4, 0.6, 0.8))))
+    sizes = set()
+    for g in fixtures:
+        group = automorphism_group(g)
+        _assert_group(g, group, brute_force_automorphisms(g))
+        sizes.add(len(group))
+    assert len(sizes) >= 10
+
+
+def test_automorphism_group_matches_networkx_vf2():
+    nx = pytest.importorskip("networkx")
+    matcher = nx.algorithms.isomorphism.GraphMatcher
+    rng = random.Random(67)
+    fixtures = [PETERSEN, FRUCHT, fig1_left(), fig1_right(), cycle(20),
+                disjoint_union(cycle(5), PETERSEN)]
+    fixtures += [random_graph(rng, rng.randint(9, 20), rng.choice((0.15, 0.3, 0.5)))
+                 for _ in range(16)]
+    fixtures += [random_regular_graph(rng, n, k) for n, k in ((10, 3), (12, 4), (14, 3), (16, 5))]
+    for g in fixtures:
+        nxg = _to_nx(nx, g)
+        expected = {bytes(m[v] for v in range(g.n)) for m in matcher(nxg, nxg).isomorphisms_iter()}
+        _assert_group(g, automorphism_group(g), expected)
+
+
+def test_automorphism_group_orders():
+    # |Aut(K4 x K4 rook graph)| = 2 * 4!^2, |Aut(G v G)| = 2 |Aut(G)|^2 for a
+    # connected G whose complement is connected
+    orders = {"petersen": (PETERSEN, 120), "Q3": (Q3, 48),
+              "K3,3": (complete_bipartite(3, 3), 72), "fig1_left": (fig1_left(), 16),
+              "frucht": (FRUCHT, 1), "r4": (grid_lattice(4), 1152),
+              "shrikhande": (shrikhande(), 192),
+              "join.iterated.fig1": (iterated_join(fig1_left(), 1), 512)}
+    orders.update((f"C{n}", (cycle(n), 2 * n)) for n in range(3, 21))
+    for name, (g, order) in orders.items():
+        group = automorphism_group(g)
+        assert len(group) == order, name
+        _assert_group(g, group)
+
+
+def test_automorphism_group_falls_back_to_the_identity(monkeypatch):
+    # past the order cap, or past the generator search's budget, the
+    # answer is the trivial subgroup: still a group, never a partial list
+    assert automorphism_group(complete(8)) == [bytes(range(8))]  # 40,320 elements
+    monkeypatch.setattr(graphs, "AUT_GROUP_CAP", 119)
+    assert automorphism_group(PETERSEN) == [bytes(range(10))]
+    monkeypatch.setattr(graphs, "AUT_GROUP_CAP", 120)
+    assert len(automorphism_group(PETERSEN)) == 120
+    monkeypatch.setattr(graphs, "ISO_NODE_CAP", 0)
+    assert automorphism_group(PETERSEN) == [bytes(range(10))]
 
 
 def test_random_regular_graph_returns_empty_and_complete_without_drawing():
