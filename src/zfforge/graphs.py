@@ -339,7 +339,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph(g.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return Graph(g.n, tuple([(full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)]))
 
 
 def line_graph(g: Graph) -> Graph:
@@ -399,7 +399,7 @@ def components(g: Graph) -> list[int]:
 
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph on the masked vertices plus the map from new to old indices."""
-    verts = tuple(bits(mask))
+    verts = tuple(list(bits(mask)))
     pos = {v: i for i, v in enumerate(verts)}
     rows = []
     for v in verts:
@@ -502,20 +502,15 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, tuple(mapping)
 
 
-def _connected_isomorphism(g: Graph, h: Graph, budget: Budget,
-                           start: Optional[tuple[list[int], list[int]]] = None
-                           ) -> Optional[tuple[int, ...]]:
+def _connected_isomorphism(g: Graph, h: Graph, budget: Budget) -> Optional[tuple[int, ...]]:
     """A checked mapping of g onto h, or None.
 
     The search is complete for any pair; ``is_isomorphic`` passes it
-    connected ones.  With ``start``, a pair of colourings, the mapping must
-    also carry each vertex of g to a vertex of h of the same colour.
+    connected ones.
     """
     budget.what = f"isomorphism search on a component of order {g.n}"
-    nbrs_g = _neighbour_lists(g)
-    nbrs_h = nbrs_g if h is g else _neighbour_lists(h)
-    cg, ch = start if start is not None else ([0] * g.n, [0] * h.n)
-    refined = _joint_refine(nbrs_g, nbrs_h, cg, ch)
+    nbrs_g, nbrs_h = _neighbour_lists(g), _neighbour_lists(h)
+    refined = _joint_refine(nbrs_g, nbrs_h, [0] * g.n, [0] * h.n)
     return None if refined is None else _search_mapping(g, h, nbrs_g, nbrs_h, *refined, budget)
 
 
@@ -527,7 +522,7 @@ def _search_mapping(g: Graph, h: Graph, nbrs_g, nbrs_h, cg: list[int], ch: list[
     cell = _target_cell(cg)
     if cell is None:
         where = {c: w for w, c in enumerate(ch)}
-        mapping = tuple(where[c] for c in cg)
+        mapping = tuple([where[c] for c in cg])
         return mapping if relabel(g, mapping).adj == h.adj else None
     v, color, fresh = cell[0], cg[cell[0]], max(cg) + 1
     for w in (w for w, c in enumerate(ch) if c == color):
@@ -592,7 +587,9 @@ def automorphism_group(g: Graph) -> list[bytes]:
                     continue
                 cg, ch = colouring[:], colouring[:]
                 cg[v] = ch[w] = fresh
-                found = _connected_isomorphism(g, g, budget, (cg, ch))
+                refined = _joint_refine(nbrs, nbrs, cg, ch)
+                found = None if refined is None else _search_mapping(g, g, nbrs, nbrs,
+                                                                     *refined, budget)
                 if found is not None:
                     gens.append(bytes(found))
                     orbit = _orbit(v, gens)

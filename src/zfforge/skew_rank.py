@@ -18,6 +18,17 @@ fraction-free integer elimination, which is exact over the rationals; the
 final witness is replayed independently with Fraction arithmetic
 (exact_rank).
 
+Parity bound: the rank over GF(2) of a sample's matrix mod 2 never exceeds
+its rank over the rationals, since a minor that is nonzero mod 2 is a
+nonzero integer.  Forest entries and +-1, +-3 are odd, so the matrix mod 2
+is the pattern's bit rows with the +-2 entries cleared, and its rank is XOR
+elimination on ints, stopped once it reaches the best rank so far.  A
+sample whose parity rank already reaches the best cannot beat it (only a
+strictly smaller rank replaces the best), so it is skipped without the
+exact rank.  Every sample is still drawn and still spends one unit of the
+budget, so the draws, the best sample chosen, ``certified`` and every
+witness are exactly those of ranking every sample.
+
 Trap, documented on purpose: a GENERIC (random full-support) realisation
 attains the pattern's maximum rank, i.e. its minimum nullity.  Nothing here
 ever reports a single random sample as the maximum nullity; randomized mode
@@ -132,6 +143,31 @@ def _int_rank(mat: list[list[int]]) -> int:
     return rank
 
 
+def _parity_rows(adj, free: list[tuple[int, int]], values) -> list[int]:
+    """A sample's matrix mod 2 as bit rows: the pattern less its even entries."""
+    rows = list(adj)
+    for (i, j), value in zip(free, values):
+        if not value & 1:
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+    return rows
+
+
+def _gf2_rank(rows: list[int], stop: int) -> int:
+    """Rank over GF(2) of bit rows, counted no further than ``stop``."""
+    lead: dict[int, int] = {}  # one reduced row per leading bit
+    for row in rows:
+        if len(lead) >= stop:
+            break
+        while row:
+            top = row.bit_length()
+            if top not in lead:
+                lead[top] = row
+                break
+            row ^= lead[top]
+    return len(lead)
+
+
 def exact_rank(witness: SkewWitness) -> int:
     """Rank of the realised matrix over the rationals; always even."""
     return _rank_of(witness.graph, witness.entry_map())
@@ -160,9 +196,10 @@ def max_nullity_witness_search(g: Graph, *,
 
     Per component: spanning-forest entries are pinned to +1 and the
     remaining entries range over {1,2,3} with both signs.  When the grid for
-    a component exceeds the remaining ``budget`` (a cap on rank
-    evaluations), that component falls back to seeded random sampling and
-    the result is no longer marked certified.
+    a component exceeds the remaining ``budget`` (a cap on samples), that
+    component falls back to seeded random sampling and the result is no
+    longer marked certified.  The first sample, and each later one that the
+    parity bound does not rule out, is ranked exactly.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -189,16 +226,19 @@ def max_nullity_witness_search(g: Graph, *,
         else:
             certified = False
             share = max(remaining // max(len(comps) - idx, 1), 1)
-            assignments = (tuple(rng.choice(_ENTRY_CHOICES) for _ in free)
+            assignments = (tuple([rng.choice(_ENTRY_CHOICES) for _ in free])
                            for _ in range(share))
 
         best_rank = None
-        best_values = tuple(1 for _ in free)
+        best_values = (1,) * len(free)
         for values in assignments:
             if remaining <= 0:
                 certified = False
                 break
             remaining -= 1
+            if best_rank is not None and _gf2_rank(
+                    _parity_rows(sub.adj, free, values), best_rank) >= best_rank:
+                continue  # its rank over Q is at least best_rank: it cannot win
             for (i, j), value in zip(free, values):
                 mat[i][j], mat[j][i] = value, -value
             rank = _int_rank(mat)

@@ -2,10 +2,14 @@
 and helpers that only the tests use."""
 
 import itertools
+import random
+from fractions import Fraction
 
 from zfforge.constructions import circulant_h, h_witness_set
 from zfforge.forcing import Rule, _close, closure, zero_forcing_number
-from zfforge.graphs import Graph, bits, from_edges
+from zfforge.graphs import Graph, bits, components, from_edges, induced_subgraph
+from zfforge.skew_rank import (_ENTRY_CHOICES, SkewWitness, _int_rank, _rank_of,
+                               _spanning_forest, exact_rank)
 from zfforge.spectra import CharPoly, MatrixKind
 
 
@@ -191,3 +195,67 @@ def integer_roots(cp: CharPoly) -> dict[int, int]:
                 if len(coeffs) == 1:
                     return roots
     return roots
+
+
+def gf2_rank_by_lists(matrix: list[list[int]]) -> int:
+    """Rank over GF(2) by plain row reduction of lists of 0/1 entries."""
+    m = [[x % 2 for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                m[r] = [a ^ b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def unfiltered_witness_search(g: Graph, *, budget: int = 4000, seed: int = 0) -> SkewWitness:
+    """``max_nullity_witness_search`` as it was before the parity bound: every
+    sample is ranked exactly.  Same grid, same draws, same tie rule."""
+    rng = random.Random(seed)
+    remaining = budget
+    certified = True
+    merged = {}
+    total_rank = 0
+    comps = components(g)
+    for idx, comp in enumerate(comps):
+        sub, verts = induced_subgraph(g, comp)
+        tree = _spanning_forest(sub)
+        free = [e for e in sub.edges() if e not in tree]
+        mat = [[0] * sub.n for _ in range(sub.n)]
+        for i, j in tree:
+            mat[i][j], mat[j][i] = 1, -1
+        if len(_ENTRY_CHOICES) ** len(free) <= remaining:
+            assignments = itertools.product(_ENTRY_CHOICES, repeat=len(free))
+        else:
+            certified = False
+            share = max(remaining // max(len(comps) - idx, 1), 1)
+            assignments = (tuple(rng.choice(_ENTRY_CHOICES) for _ in free)
+                           for _ in range(share))
+        best_rank, best_values = None, (1,) * len(free)
+        for values in assignments:
+            if remaining <= 0:
+                certified = False
+                break
+            remaining -= 1
+            for (i, j), value in zip(free, values):
+                mat[i][j], mat[j][i] = value, -value
+            rank = _int_rank(mat)
+            if best_rank is None or rank < best_rank:
+                best_rank, best_values = rank, values
+        final_map = {e: Fraction(1) for e in tree}
+        final_map.update({e: Fraction(v) for e, v in zip(free, best_values)})
+        if best_rank is None:
+            certified = False
+            best_rank = _rank_of(sub, final_map)
+        total_rank += best_rank
+        for (i, j), value in final_map.items():
+            merged[(verts[i], verts[j])] = value
+    entries = tuple(sorted((i, j, v) for (i, j), v in merged.items()))
+    witness = SkewWitness(g, entries, g.n - total_rank, certified, seed)
+    assert g.n - exact_rank(witness) == witness.achieved_nullity
+    return witness

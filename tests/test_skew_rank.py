@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import gf2_rank_by_lists, unfiltered_witness_search
+from zfforge import skew_rank
 from zfforge.forcing import Rule, zero_forcing_number
 from zfforge.graphs import (complete, cycle, empty, ex32_g, ex32_gprime, fig1_left,
-                            from_edges, path)
+                            fig1_right, from_edges, path)
 from zfforge.randgraphs import random_graph
-from zfforge.skew_rank import (SkewWitness, _int_rank, _rank_of, exact_rank,
-                               max_nullity_witness_search)
+from zfforge.skew_rank import (SkewWitness, _gf2_rank, _int_rank, _parity_rows, _rank_of,
+                               exact_rank, max_nullity_witness_search)
 
 
 def _witness(g, entries):
@@ -171,3 +173,59 @@ def test_fig1_left_witness_is_pinned():
         witness = max_nullity_witness_search(fig1_left(), seed=seed)
         assert witness.to_json() == {"edges": edges, "nullity": 2,
                                      "certified": False, "seed": seed}
+
+
+def test_parity_filter_returns_the_unfiltered_witness():
+    # a grid of 6^4 is searched whole when a component has at most four free
+    # edges; a budget of 40 samples every larger grid
+    rng = random.Random(331)
+    modes = set()
+    for k in range(30):
+        g = random_graph(rng, rng.randint(1, 10), rng.choice((0.15, 0.3, 0.5, 0.8)))
+        for budget in (6 ** 4, 40):
+            seed = 7 * k + budget
+            witness = max_nullity_witness_search(g, budget=budget, seed=seed)
+            assert witness.to_json() == unfiltered_witness_search(
+                g, budget=budget, seed=seed).to_json()
+            modes.add(witness.certified)
+    assert modes == {True, False}
+    for g in (fig1_left(), fig1_right()):
+        for seed in (0, 1, 1009):
+            assert (max_nullity_witness_search(g, seed=seed).to_json()
+                    == unfiltered_witness_search(g, seed=seed).to_json())
+
+
+def test_gf2_rank_matches_list_elimination():
+    rng = random.Random(337)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+        matrix = [[rng.random() < 0.4 for _ in range(ncols)] for _ in range(nrows)]
+        rows = [sum(1 << c for c, x in enumerate(row) if x) for row in matrix]
+        rank = gf2_rank_by_lists(matrix)
+        for stop in range(ncols + 2):
+            assert _gf2_rank(rows, stop) == min(rank, stop)
+
+
+def test_parity_rank_never_exceeds_rational_rank():
+    rng = random.Random(347)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 10), rng.choice((0.3, 0.6, 0.9)))
+        edges = g.edges()
+        values = [rng.choice((1, -1, 2, -2, 3, -3, 7, -7)) for _ in edges]
+        mat = [[0] * g.n for _ in range(g.n)]
+        for (i, j), v in zip(edges, values):
+            mat[i][j], mat[j][i] = v, -v
+        rows = _parity_rows(g.adj, edges, values)
+        assert rows == [sum(1 << c for c, x in enumerate(row) if x % 2) for row in mat]
+        assert _gf2_rank(rows, g.n) == gf2_rank_by_lists(mat) <= _int_rank(mat)
+
+
+def test_fig1_left_ranks_few_samples_exactly(monkeypatch):
+    # ranking every sample would take 4,000 exact ranks; only those the
+    # parity bound cannot rule out are ranked
+    calls = []
+    rank = skew_rank._int_rank
+    monkeypatch.setattr(skew_rank, "_int_rank", lambda mat: calls.append(1) or rank(mat))
+    witness = max_nullity_witness_search(fig1_left(), seed=0)
+    assert witness.to_json()["edges"] == _FIG1_LEFT_WITNESS[0]
+    assert 1 <= len(calls) <= 200
