@@ -144,7 +144,7 @@ def gm_switch(g: Graph, partition: SwitchingPartition | Sequence[int]) -> Graph:
                     rows[x] &= ~(1 << y)
                 for x in bits(flipped):
                     rows[x] |= 1 << y
-    return Graph(g.n, tuple(rows), g.labels)
+    return Graph(g.n, tuple(rows))
 
 
 def planted_switching_instance(rng: random.Random, n_min: int = 6, n_max: int = 12
@@ -361,11 +361,7 @@ def regular_construction(k: int) -> ConstructionPair:
     edges.extend((b[i], k + i - 1) for i in range(1, k + 1))
     edges.append((b[0], 0))
 
-    labels = tuple([f"h{i}" for i in range(nh)]
-                   + [f"a{i}" for i in range(k + 1)]
-                   + [f"b{i}" for i in range(k + 1)]
-                   + [f"c{i}" for i in range(1, k)])
-    g = graphs.from_edges(6 * k, edges, labels)
+    g = graphs.from_edges(6 * k, edges)
 
     if g.is_regular() != 2 * k:
         raise AssertionError(f"construction for k={k} is not {2 * k}-regular")

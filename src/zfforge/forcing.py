@@ -31,10 +31,9 @@ closed set whose complement is a minimal fort.  One depth-first branch and
 bound finds the minimum: the incumbent, the smallest forcing set found so
 far, starts as the whole component, and a node may pick only as many more
 vertices as keep its set below the incumbent.  A node branches on the unhit
-fort with the fewest allowed vertices, bans each vertex once tried, prunes
-when a greedy packing of disjoint unhit forts needs more picks than are
-left, and runs the real closure at every leaf; a leaf that closes becomes
-the incumbent.  The search stops early when the incumbent meets the proven
+fort with the fewest allowed vertices, bans each vertex once tried, and
+runs the real closure at every leaf; a leaf that closes becomes the
+incumbent.  The search stops early when the incumbent meets the proven
 lower bound in the component's minimum degree delta: Z >= delta,
 Z_plus >= treewidth >= delta and Z_minus >= delta - 1.  Otherwise it ends
 only when no smaller set survives, so every value is decided by exhaustive
@@ -296,7 +295,7 @@ def _component_minimum(g: Graph, comp: int, rule: Rule, budget: Budget) -> int:
         if left < 0:
             return False
         budget.spend()
-        while not unhit:
+        if not unhit:
             budget.spend()
             closed = _close(adj, comp, chosen, skew, psd)
             if closed == comp:
@@ -306,19 +305,11 @@ def _component_minimum(g: Graph, comp: int, rule: Rule, budget: Budget) -> int:
             unhit.append(forts[-1])
         if left == 0:
             return False
-        allowed = sorted((f & ~banned for f in unhit), key=int.bit_count)
-        if not allowed[0]:
+        allowed = min((f & ~banned for f in unhit), key=int.bit_count)
+        if not allowed:
             return False
-        # forts with pairwise-disjoint allowed parts each need their own pick
-        disjoint, used = 0, 0
-        for f in allowed:
-            if not f & used:
-                used |= f
-                disjoint += 1
-                if disjoint > left:
-                    return False
         symmetric = len(group) > 1  # else the identity alone, its own stabiliser
-        for v in bits(allowed[0]):
+        for v in bits(allowed):
             low = 1 << v
             if banned & low:  # in the orbit of a vertex already tried
                 continue

@@ -26,7 +26,7 @@ indices, so the ordering is part of the public contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 ORDER_CAP = 64
@@ -93,13 +93,10 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency rows.
 
     Rows are symmetric and irreflexive; both are checked at construction.
-    ``labels`` is optional provenance (e.g. block names in a construction)
-    and never participates in equality or hashing.
     """
 
     n: int
     adj: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= ORDER_CAP:
@@ -115,8 +112,6 @@ class Graph:
             for u in bits(row):
                 if not self.adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise GraphError("label count does not match order")
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -149,8 +144,7 @@ class Graph:
         return degs.pop() if len(degs) == 1 else None
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]],
-               labels: Optional[tuple[str, ...]] = None) -> Graph:
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if not 0 <= n <= ORDER_CAP:
         raise OrderCapError(f"order {n} outside 0..{ORDER_CAP}")
     rows = [0] * n
@@ -161,7 +155,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
             raise GraphError(f"edge ({u},{v}) outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows), labels)
+    return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +484,13 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     mapping = [0] * g.n
     for comp in components(g):
         sub, verts = induced_subgraph(g, comp)
+        budget.what = f"isomorphism search on a component of order {sub.n}"
+        nbrs = _neighbour_lists(sub)
         for i, (sub_h, verts_h) in enumerate(unused):
-            found = _connected_isomorphism(sub, sub_h, budget)
+            nbrs_h = _neighbour_lists(sub_h)
+            refined = _joint_refine(nbrs, nbrs_h, [0] * sub.n, [0] * sub_h.n)
+            found = (None if refined is None
+                     else _search_mapping(sub, sub_h, nbrs, nbrs_h, *refined, budget))
             if found is not None:
                 for v, w in zip(verts, found):
                     mapping[v] = verts_h[w]
@@ -500,18 +499,6 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
         else:
             return False, None
     return True, tuple(mapping)
-
-
-def _connected_isomorphism(g: Graph, h: Graph, budget: Budget) -> Optional[tuple[int, ...]]:
-    """A checked mapping of g onto h, or None.
-
-    The search is complete for any pair; ``is_isomorphic`` passes it
-    connected ones.
-    """
-    budget.what = f"isomorphism search on a component of order {g.n}"
-    nbrs_g, nbrs_h = _neighbour_lists(g), _neighbour_lists(h)
-    refined = _joint_refine(nbrs_g, nbrs_h, [0] * g.n, [0] * h.n)
-    return None if refined is None else _search_mapping(g, h, nbrs_g, nbrs_h, *refined, budget)
 
 
 def _search_mapping(g: Graph, h: Graph, nbrs_g, nbrs_h, cg: list[int], ch: list[int],

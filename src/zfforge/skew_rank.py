@@ -225,7 +225,7 @@ def max_nullity_witness_search(g: Graph, *,
             assignments = itertools.product(_ENTRY_CHOICES, repeat=len(free))
         else:
             certified = False
-            share = max(remaining // max(len(comps) - idx, 1), 1)
+            share = max(remaining // (len(comps) - idx), 1)
             assignments = (tuple([rng.choice(_ENTRY_CHOICES) for _ in free])
                            for _ in range(share))
 

@@ -350,6 +350,10 @@ def _starting_bound(g, rule):
     return max(delta - 1, 0) if rule is Rule.SKEW else delta
 
 
+def _random_tree(rng, n):
+    return from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
 def test_fort_search_matches_gosper_oracle():
     rng = random.Random(251)
     fixtures = [empty(0), empty(1), empty(3), disjoint_union(path(4), empty(2))]
@@ -361,6 +365,14 @@ def test_fort_search_matches_gosper_oracle():
     # starting bound and where the first forcing set the branch and bound
     # finds is often larger than the optimum
     fixtures += [random_graph(rng, n, p) for n in (11, 12, 13) for p in (0.2, 0.3, 0.7, 0.85)]
+    # leaf-heavy graphs, with many disjoint two-vertex forts: a star,
+    # K2,11, a spider with legs of length 2, a caterpillar and random trees
+    fixtures += [complete_bipartite(1, 12), complete_bipartite(2, 11),
+                 from_edges(13, [(0, 1 + 2 * i) for i in range(6)]
+                            + [(1 + 2 * i, 2 + 2 * i) for i in range(6)]),
+                 from_edges(12, [(i, i + 1) for i in range(3)]
+                            + [(v % 4, v) for v in range(4, 12)])]
+    fixtures += [_random_tree(rng, n) for n in (10, 11, 12, 13)]
     disconnected = isolated = 0
     for g in fixtures:
         comps = components(g)
@@ -468,11 +480,11 @@ def test_symmetry_fallbacks_give_the_same_values(monkeypatch):
 
 def test_orbital_branching_keeps_its_pruning():
     # steps spent with orbital branching; the branch and bound without it
-    # took 41,367, 20,125, 22,374 and 219,637
-    pins = {"r4": (grid_lattice(4), Rule.PSD, 10, 3_132),
-            "shrikhande": (shrikhande(), Rule.PSD, 9, 3_655),
-            "join.iterated.fig1": (iterated_join(fig1_left(), 1), Rule.STANDARD, 16, 5_111),
-            "C4xC9": (cartesian(cycle(4), cycle(9)), Rule.STANDARD, 8, 35_032)}
+    # took 41,371, 20,418, 24,197 and 266,891
+    pins = {"r4": (grid_lattice(4), Rule.PSD, 10, 3_136),
+            "shrikhande": (shrikhande(), Rule.PSD, 9, 3_685),
+            "join.iterated.fig1": (iterated_join(fig1_left(), 1), Rule.STANDARD, 16, 5_272),
+            "C4xC9": (cartesian(cycle(4), cycle(9)), Rule.STANDARD, 8, 38_907)}
     for name, (g, rule, value, most) in pins.items():
         result = zero_forcing_number(g, rule, order_cap=64)
         assert result.value == value, name
