@@ -94,11 +94,11 @@ def _fixture(prefix: str):
     if prefix == "ex32":
         return graphs.ex32_g(), graphs.ex32_gprime()
     if prefix == "tensor":
-        return tuple(cons.tensor_family(g, 3).graph for g in _fixture("ex32"))
+        return tuple(graphs.tensor(g, graphs.complete(3)) for g in _fixture("ex32"))
     if prefix == "cartesian":
         return graphs.grid_lattice(4), cons.shrikhande()
     if prefix == "join.family":
-        return cons.join_family(*_fixture("fig1"), 2)
+        return tuple(graphs.join(g, graphs.complete(2)) for g in _fixture("fig1"))
     if prefix == "thm51":
         return cons.theorem51_build()
     if prefix.startswith("regular6k.k"):
@@ -140,17 +140,13 @@ def _zf_at_most(graph: Callable[[], graphs.Graph], bound: int, seed: int) -> tup
 
 
 @lru_cache(maxsize=None)
-def _grid_pair_zplus(which: int) -> tuple[object, dict]:
-    # keyed on ``which`` alone, so that cartesian.bound.r11 reuses both solves
+def _grid_zplus(which: int, seed: int) -> tuple[object, dict]:
+    # cached, so that cartesian.bound.r11 reuses both solves
     return _zf_claim(_pair("cartesian")[which], Rule.PSD)
 
 
-def _grid_zplus(which: int, seed: int) -> tuple[object, dict]:
-    return _grid_pair_zplus(which)
-
-
 def _grid_bound(r: int, seed: int) -> tuple[object, dict]:
-    report = cons.grid_shrikhande_report(r, _grid_pair_zplus(0)[0], _grid_pair_zplus(1)[0])
+    report = cons.grid_shrikhande_report(r, _grid_zplus(0, seed)[0], _grid_zplus(1, seed)[0])
     return report.separation_holds, {"report": report.to_json()}
 
 
@@ -192,8 +188,8 @@ def _regular_pair(prefix: str, order: int, degree: int, seed: int) -> tuple[obje
 
 
 def _switching_set(prefix: str, seed: int) -> tuple[object, dict]:
-    validation = _fixture(prefix).partition.validation
-    return validation.ok, {"validation": validation.to_json()}
+    partition = _fixture(prefix).partition
+    return partition.ok, {"validation": partition.to_json()}
 
 
 def _core_witness(k: int, seed: int) -> tuple[object, dict]:
@@ -206,7 +202,7 @@ def _core_witness(k: int, seed: int) -> tuple[object, dict]:
 def _skew_nullity(which: int, seed: int) -> tuple[object, dict]:
     g = _pair("ex32")[which]
     witness = max_nullity_witness_search(g, seed=seed)
-    z_minus = zero_forcing_number(g, Rule.SKEW).value
+    z_minus = _zf_claim(g, Rule.SKEW)[0]
     rank = exact_rank(witness)
     replayed = g.n - rank
     certs = {"witness": witness.to_json(),
@@ -390,16 +386,12 @@ def evaluate_claim(claim_id: str, seed: int = 0) -> ClaimReport:
                        computed, status, certificates, elapsed)
 
 
-def _evaluate_for_pool(args: tuple[str, int]) -> ClaimReport:
-    return evaluate_claim(*args)
-
-
 def run_claims(prefix: Optional[str] = None, jobs: int = 1, seed: int = 0) -> list[ClaimReport]:
     """Evaluate all claims whose id starts with ``prefix`` (default: all)."""
     ids = [cid for cid in claim_ids() if prefix is None or cid.startswith(prefix)]
     if jobs > 1 and len(ids) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_evaluate_for_pool, [(cid, seed) for cid in ids]))
+            reports = list(pool.map(evaluate_claim, ids, [seed] * len(ids)))
     else:
         reports = [evaluate_claim(cid, seed) for cid in ids]
     return sorted(reports, key=lambda r: r.claim_id)

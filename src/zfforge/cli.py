@@ -191,14 +191,14 @@ def _cmd_gm_switch(args) -> int:
     g = load_graph(args.input, args.format)
     parts = [graphs.mask_from(_parse_vertex_list(raw)) for raw in args.parts]
     partition = cons.switching_partition(g, parts)
-    if not partition.validation.ok:
+    if not partition.ok:
         print(json.dumps({"error": "invalid switching partition",
-                          "validation": partition.validation.to_json()},
+                          "validation": partition.to_json()},
                          indent=2, sort_keys=True))
         return 1
     switched = cons.gm_switch(g, partition)
     print(json.dumps({"graph6": graphs.emit_graph6(switched),
-                      "validation": partition.validation.to_json()},
+                      "validation": partition.to_json()},
                      indent=2, sort_keys=True))
     return 0
 

@@ -45,9 +45,9 @@ class PreconditionError(ValueError):
 
 
 class InvalidPartitionError(ValueError):
-    def __init__(self, validation: "SwitchingValidation"):
-        self.validation = validation
-        super().__init__("; ".join(validation.issues) or "invalid switching partition")
+    def __init__(self, partition: "SwitchingPartition"):
+        self.partition = partition
+        super().__init__("; ".join(partition.issues) or "invalid switching partition")
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +55,18 @@ class InvalidPartitionError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SwitchingValidation:
-    """Structured validation: per-part cross counts and per-outside-vertex counts."""
+class SwitchingPartition:
+    """The parts X1..Xl checked against one graph: per-part cross counts,
+    per-outside-vertex counts, and every violated condition."""
 
-    ok: bool
+    parts: tuple[int, ...]  # vertex masks X1..Xl
     part_counts: tuple[tuple[Optional[int], ...], ...]  # [i][j] = neighbours in part j of a part-i vertex
     outside_counts: tuple[tuple[int, tuple[int, ...]], ...]  # (vertex, counts per part)
     issues: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
 
     def to_json(self) -> dict:
         return {"ok": self.ok,
@@ -70,15 +75,8 @@ class SwitchingValidation:
                 "issues": list(self.issues)}
 
 
-@dataclass(frozen=True)
-class SwitchingPartition:
-    parts: tuple[int, ...]  # vertex masks X1..Xl
-    rest: int               # mask of Y
-    validation: SwitchingValidation
-
-
 def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
-    """Validate {X1..Xl, Y} against the switching conditions.
+    """Check {X1..Xl, Y} against the switching conditions on ``g``.
 
     Needed: the parts are disjoint and nonempty; for all i, j the number of
     part-j neighbours of a part-i vertex is constant over part i; and every
@@ -94,7 +92,6 @@ def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
         if part & ~g.full_mask:
             issues.append(f"part {idx} has vertices outside the graph")
         union |= part
-    rest = g.full_mask & ~union
 
     part_counts = []
     for i, pi in enumerate(parts):
@@ -109,7 +106,7 @@ def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
         part_counts.append(tuple(row))
 
     outside = []
-    for y in bits(rest):
+    for y in bits(g.full_mask & ~union):
         counts = tuple((g.adj[y] & p).bit_count() for p in parts)
         outside.append((y, counts))
         for j, c in enumerate(counts):
@@ -117,25 +114,24 @@ def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
             if c not in (0, size) and 2 * c != size:
                 issues.append(f"vertex {y} has {c} neighbours in part {j} of size {size}")
 
-    validation = SwitchingValidation(not issues, tuple(part_counts), tuple(outside),
-                                     tuple(issues))
-    return SwitchingPartition(tuple(parts), rest, validation)
+    return SwitchingPartition(tuple(parts), tuple(part_counts), tuple(outside), tuple(issues))
 
 
 def gm_switch(g: Graph, partition: SwitchingPartition | Sequence[int]) -> Graph:
     """Complement every half-neighbourhood of outside vertices against the parts.
 
-    Raises InvalidPartitionError (naming the offending vertex or part) when
-    the partition does not satisfy the switching conditions.
+    The parts are checked on ``g`` itself, also when a ``SwitchingPartition``
+    made on another graph is passed.  Raises InvalidPartitionError (naming
+    the offending vertex or part) when they fail the switching conditions.
     """
-    if not isinstance(partition, SwitchingPartition):
-        partition = switching_partition(g, partition)
-    if not partition.validation.ok:
-        raise InvalidPartitionError(partition.validation)
+    parts = partition.parts if isinstance(partition, SwitchingPartition) else partition
+    partition = switching_partition(g, parts)
+    if not partition.ok:
+        raise InvalidPartitionError(partition)
     rows = list(g.adj)
     for part in partition.parts:
         size = part.bit_count()
-        for y in bits(partition.rest):
+        for y, _counts in partition.outside_counts:
             inside = rows[y] & part
             if inside and 2 * inside.bit_count() == size:
                 flipped = part & ~inside
@@ -336,9 +332,10 @@ def regular_construction(k: int) -> ConstructionPair:
       (iii) b_i ~ j for i < k and j in 1 .. k-1;  b_k ~ j for j in 2k .. 3k-2
       (iv)  b_i ~ k+i-1 for 1 <= i <= k;  b_0 ~ 0
 
-    Rule (ii) is the unique reading that makes the result 2k-regular, and
-    the constructor enforces 2k-regularity plus validity of the switching
-    set (core plus clique) as hard postconditions, so any drift fails loudly.
+    Rule (ii) is the unique reading that makes the result 2k-regular.  The
+    constructor enforces 2k-regularity as a hard postcondition, and
+    ``gm_switch`` rejects an invalid switching set (core plus clique), so
+    any drift fails loudly.
     """
     if k < 2:
         raise ValueError("regular_construction needs k >= 2")
@@ -367,9 +364,6 @@ def regular_construction(k: int) -> ConstructionPair:
         raise AssertionError(f"construction for k={k} is not {2 * k}-regular")
     xmask = mask_from(range(nh)) | mask_from(a.values())
     partition = switching_partition(g, [xmask])
-    if not partition.validation.ok:
-        raise AssertionError(f"switching set invalid for k={k}: "
-                             f"{partition.validation.issues}")
     g_prime = gm_switch(g, partition)
     expected = (Expected("Z(g)", 4 * k - 2, "paper"),
                 Expected("Z(g_prime)_upper_bound", 4 * k - 3, "paper"),

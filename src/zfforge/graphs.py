@@ -487,10 +487,8 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
         budget.what = f"isomorphism search on a component of order {sub.n}"
         nbrs = _neighbour_lists(sub)
         for i, (sub_h, verts_h) in enumerate(unused):
-            nbrs_h = _neighbour_lists(sub_h)
-            refined = _joint_refine(nbrs, nbrs_h, [0] * sub.n, [0] * sub_h.n)
-            found = (None if refined is None
-                     else _search_mapping(sub, sub_h, nbrs, nbrs_h, *refined, budget))
+            found = _search_mapping(sub, sub_h, nbrs, _neighbour_lists(sub_h),
+                                    [0] * sub.n, [0] * sub_h.n, budget)
             if found is not None:
                 for v, w in zip(verts, found):
                     mapping[v] = verts_h[w]
@@ -503,9 +501,13 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
 
 def _search_mapping(g: Graph, h: Graph, nbrs_g, nbrs_h, cg: list[int], ch: list[int],
                     budget: Budget) -> Optional[tuple[int, ...]]:
-    # One node of the individualisation tree, below jointly refined
-    # colourings.  A module-level function rather than a nested one, so a
+    # One node of the individualisation tree: refine the colourings jointly,
+    # then branch.  A module-level function rather than a nested one, so a
     # search leaves no reference cycle behind for the garbage collector.
+    refined = _joint_refine(nbrs_g, nbrs_h, cg, ch)
+    if refined is None:
+        return None
+    cg, ch = refined
     cell = _target_cell(cg)
     if cell is None:
         where = {c: w for w, c in enumerate(ch)}
@@ -516,11 +518,9 @@ def _search_mapping(g: Graph, h: Graph, nbrs_g, nbrs_h, cg: list[int], ch: list[
         budget.spend()
         cg2, ch2 = cg[:], ch[:]
         cg2[v] = ch2[w] = fresh
-        refined = _joint_refine(nbrs_g, nbrs_h, cg2, ch2)
-        if refined is not None:
-            found = _search_mapping(g, h, nbrs_g, nbrs_h, *refined, budget)
-            if found is not None:
-                return found
+        found = _search_mapping(g, h, nbrs_g, nbrs_h, cg2, ch2, budget)
+        if found is not None:
+            return found
     return None
 
 
@@ -574,9 +574,7 @@ def automorphism_group(g: Graph) -> list[bytes]:
                     continue
                 cg, ch = colouring[:], colouring[:]
                 cg[v] = ch[w] = fresh
-                refined = _joint_refine(nbrs, nbrs, cg, ch)
-                found = None if refined is None else _search_mapping(g, g, nbrs, nbrs,
-                                                                     *refined, budget)
+                found = _search_mapping(g, g, nbrs, nbrs, cg, ch, budget)
                 if found is not None:
                     gens.append(bytes(found))
                     orbit = _orbit(v, gens)

@@ -173,20 +173,17 @@ def exact_rank(witness: SkewWitness) -> int:
     return _rank_of(witness.graph, witness.entry_map())
 
 
-def _spanning_forest(g: Graph) -> set[tuple[int, int]]:
-    forest = set()
-    for comp in components(g):
-        first = (comp & -comp).bit_length() - 1
-        seen = 1 << first
-        stack = [first]
-        while stack:
-            v = stack.pop()
-            for u in bits(g.adj[v] & comp):
-                if not seen >> u & 1:
-                    seen |= 1 << u
-                    forest.add((min(u, v), max(u, v)))
-                    stack.append(u)
-    return forest
+def _spanning_tree(g: Graph) -> set[tuple[int, int]]:
+    # Depth-first tree of a connected graph, grown from vertex 0.
+    tree = set()
+    seen, stack = 1, [0]
+    while stack:
+        v = stack.pop()
+        for u in bits(g.adj[v] & ~seen):
+            seen |= 1 << u
+            tree.add((min(u, v), max(u, v)))
+            stack.append(u)
+    return tree
 
 
 def max_nullity_witness_search(g: Graph, *,
@@ -194,7 +191,7 @@ def max_nullity_witness_search(g: Graph, *,
                                seed: int = 0) -> SkewWitness:
     """Best nullity found over small-integer realisations of the pattern.
 
-    Per component: spanning-forest entries are pinned to +1 and the
+    Per component: spanning-tree entries are pinned to +1 and the
     remaining entries range over {1,2,3} with both signs.  When the grid for
     a component exceeds the remaining ``budget`` (a cap on samples), that
     component falls back to seeded random sampling and the result is no
@@ -212,7 +209,7 @@ def max_nullity_witness_search(g: Graph, *,
 
     for idx, comp in enumerate(comps):
         sub, verts = induced_subgraph(g, comp)
-        tree = _spanning_forest(sub)
+        tree = _spanning_tree(sub)
         edges = sub.edges()
         free = [e for e in edges if e not in tree]
         pinned = {e: Fraction(1) for e in edges if e in tree}

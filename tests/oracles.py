@@ -9,7 +9,7 @@ from zfforge.constructions import circulant_h, h_witness_set
 from zfforge.forcing import Rule, _close, closure, zero_forcing_number
 from zfforge.graphs import Graph, bits, components, from_edges, induced_subgraph
 from zfforge.skew_rank import (_ENTRY_CHOICES, SkewWitness, _int_rank, _rank_of,
-                               _spanning_forest, exact_rank)
+                               _spanning_tree, exact_rank)
 from zfforge.spectra import CharPoly, MatrixKind
 
 
@@ -224,7 +224,7 @@ def unfiltered_witness_search(g: Graph, *, budget: int = 4000, seed: int = 0) ->
     comps = components(g)
     for idx, comp in enumerate(comps):
         sub, verts = induced_subgraph(g, comp)
-        tree = _spanning_forest(sub)
+        tree = _spanning_tree(sub)
         free = [e for e in sub.edges() if e not in tree]
         mat = [[0] * sub.n for _ in range(sub.n)]
         for i, j in tree:

@@ -120,7 +120,7 @@ def test_criterion_9_property_suites():
     rng = random.Random(9004)
     for i in range(100):
         g, part = planted_switching_instance(rng)
-        if not part.validation.ok:
+        if not part.ok:
             violations.append(("planted-invalid", i))
             continue
         switched = gm_switch(g, part)

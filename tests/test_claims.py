@@ -5,7 +5,9 @@ import pytest
 
 from zfforge import claims
 from zfforge.claims import claim_ids, evaluate_claim, run_claims, summarize
+from zfforge.constructions import join_family, tensor_family
 from zfforge.forcing import BudgetExceededError
+from zfforge.graphs import ex32_g, ex32_gprime, fig1_left, fig1_right
 
 # claim ids are a frozen public contract; renames must be deliberate
 FROZEN_CLAIM_IDS = (
@@ -125,6 +127,14 @@ def test_raising_claim_reports_fail_with_traceback(monkeypatch):
     assert report.certificates["error"] == \
         "ZeroDivisionError: division by zero in a claim body"
     assert "broken_claim" in report.certificates["traceback"]
+
+
+def test_product_fixtures_are_the_family_graphs():
+    # the tensor and join.family claims solve the graphs the families build
+    assert claims._fixture("tensor") == (tensor_family(ex32_g(), 3).graph,
+                                         tensor_family(ex32_gprime(), 3).graph)
+    family = join_family(fig1_left(), fig1_right(), 2)
+    assert claims._fixture("join.family") == (family.g, family.g_prime)
 
 
 def test_sweep_claims_pass_for_any_seed():

@@ -14,8 +14,8 @@ from zfforge.constructions import (Expected, InvalidPartitionError,
 from zfforge.forcing import Rule, closure, verify_certificate, zero_forcing_number
 from zfforge.graphs import (cartesian, circulant, complement, complete,
                             components, cycle, disjoint_union, ex32_g,
-                            fig1_left, fig1_right, grid_lattice, is_isomorphic,
-                            join, mask_from, path)
+                            fig1_left, fig1_right, from_edges, grid_lattice,
+                            is_isomorphic, join, mask_from, path)
 from zfforge.spectra import MatrixKind, cospectral
 
 from oracles import zf_h_check
@@ -24,17 +24,17 @@ from oracles import zf_h_check
 def test_switching_partition_validation():
     g = grid_lattice(4)
     part = switching_partition(g, [grid_diagonal_part(4)])
-    assert part.validation.ok
-    assert part.validation.part_counts == ((0,),)  # the diagonal is a coclique
-    assert all(c == (2,) for _v, c in part.validation.outside_counts)
+    assert part.ok
+    assert part.part_counts == ((0,),)  # the diagonal is a coclique
+    assert all(c == (2,) for _v, c in part.outside_counts)
 
 
 def test_switching_partition_invalid_names_offender():
     g = path(5)  # vertex 1 sees two vertices of the 3-coclique {0, 2, 4}
     part = switching_partition(g, [mask_from([0, 2, 4])])
-    assert not part.validation.ok
+    assert not part.ok
     assert any("vertex 1 has 2 neighbours in part 0" in issue
-               for issue in part.validation.issues)
+               for issue in part.issues)
     with pytest.raises(InvalidPartitionError):
         gm_switch(g, part)
 
@@ -43,8 +43,19 @@ def test_switching_partition_rejects_uneven_part_degrees():
     # {0,1,2} induces a path inside C4's... use P3 inside P4: internal degrees differ
     g = path(4)
     part = switching_partition(g, [mask_from([0, 1, 2])])
-    assert not part.validation.ok
-    assert any("disagree" in issue for issue in part.validation.issues)
+    assert not part.ok
+    assert any("disagree" in issue for issue in part.issues)
+
+
+def test_gm_switch_checks_the_graph_it_switches():
+    # a partition checked on the rook's graph says nothing about the rook's
+    # graph minus an edge: there vertex 1 sees one diagonal vertex of four
+    grid = grid_lattice(4)
+    part = switching_partition(grid, [grid_diagonal_part(4)])
+    assert part.ok
+    g = from_edges(16, [e for e in grid.edges() if e != (0, 1)])
+    with pytest.raises(InvalidPartitionError, match="vertex 1 has 1 neighbours in part 0"):
+        gm_switch(g, part)
 
 
 def test_gm_switch_identity_without_half_neighbourhoods():
@@ -68,7 +79,7 @@ def test_gm_switch_involution_on_planted_instances():
     rng = random.Random(401)
     for _ in range(25):
         g, part = planted_switching_instance(rng)
-        assert part.validation.ok
+        assert part.ok
         switched = gm_switch(g, part)
         assert gm_switch(switched, part) == g
         assert cospectral(g, switched, MatrixKind.ADJACENCY)
@@ -91,7 +102,7 @@ def test_every_shipped_switch_pair_is_cospectral_with_complements():
 def test_theorem51_default_build():
     pair = theorem51_build()
     assert pair.g.n == 30 and pair.g_prime.n == 30
-    assert pair.partition.validation.ok
+    assert pair.partition.ok
     assert sorted(c.bit_count() for c in components(pair.g)) == [10, 20]
     assert cospectral(pair.g, pair.g_prime, MatrixKind.ADJACENCY)
 
@@ -168,7 +179,7 @@ def test_regular_construction_structure():
         assert pair.g.n == 6 * k
         assert pair.g.is_regular() == 2 * k
         assert pair.g_prime.is_regular() == 2 * k
-        assert pair.partition.validation.ok
+        assert pair.partition.ok
         assert cospectral(pair.g, pair.g_prime, MatrixKind.ADJACENCY)
 
 
