@@ -13,9 +13,9 @@ from .spectra import (CharPoly, MatrixKind, char_poly, cospectral,
 from .forcing import (BudgetExceededError, ForcingCertificate, Rule, ZfResult,
                       closure, verify_certificate, zero_forcing_number,
                       zf_join_formula_check)
-from .constructions import (ConstructionPair, Expected, InvalidPartitionError,
-                            PreconditionError, SwitchingPartition,
-                            corollary52_family, circulant_h, gm_switch,
+from .constructions import (ConstructionPair, Expected, PreconditionError,
+                            SwitchingPartition, corollary52_family,
+                            circulant_h, gm_switch,
                             grid_shrikhande_report, join_family,
                             regular_construction, shrikhande,
                             switching_partition, tensor_family,

@@ -68,13 +68,11 @@ class _Claim:
 REGISTRY: dict[str, _Claim] = {}
 
 
-def _claim(claim_id: str, description: str, tag: str, expected):
-    def register(fn):
-        if claim_id in REGISTRY:
-            raise ValueError(f"duplicate claim id {claim_id}")
-        REGISTRY[claim_id] = _Claim(description, tag, expected, fn)
-        return fn
-    return register
+def _claim(claim_id: str, description: str, tag: str, expected,
+           fn: Callable[[int], tuple[object, dict]]) -> None:
+    if claim_id in REGISTRY:
+        raise ValueError(f"duplicate claim id {claim_id}")
+    REGISTRY[claim_id] = _Claim(description, tag, expected, fn)
 
 
 def claim_ids() -> tuple[str, ...]:
@@ -88,7 +86,7 @@ def claim_ids() -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def _fixture(prefix: str):
     """The construction behind the claims under ``prefix``: a pair of graphs,
-    or a ``ConstructionPair`` where claims read its params or partition."""
+    or a ``ConstructionPair`` where claims read its params or parts."""
     if prefix == "fig1":
         return graphs.fig1_left(), graphs.fig1_right()
     if prefix == "ex32":
@@ -188,7 +186,8 @@ def _regular_pair(prefix: str, order: int, degree: int, seed: int) -> tuple[obje
 
 
 def _switching_set(prefix: str, seed: int) -> tuple[object, dict]:
-    partition = _fixture(prefix).partition
+    pair = _fixture(prefix)
+    partition = cons.switching_partition(pair.g, pair.parts)
     return partition.ok, {"validation": partition.to_json()}
 
 
@@ -358,7 +357,7 @@ _CATALOG = (
 )
 
 for _id, _description, _tag, _expected, _evaluator, *_args in _CATALOG:
-    _claim(_id, _description, _tag, _expected)(partial(_evaluator, *_args))
+    _claim(_id, _description, _tag, _expected, partial(_evaluator, *_args))
 
 
 # ---------------------------------------------------------------------------

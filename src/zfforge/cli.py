@@ -51,7 +51,11 @@ def load_graph(spec: str, fmt: str = "auto") -> graphs.Graph:
 
 
 def _parse_vertex_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+    vertices = [int(tok) for tok in raw.replace(",", " ").split()]
+    for v in vertices:
+        if v < 0:
+            raise ValueError(f"vertex {v} is outside the graph")
+    return vertices
 
 
 def _add_input_format(parser: argparse.ArgumentParser) -> None:
@@ -196,7 +200,7 @@ def _cmd_gm_switch(args) -> int:
                           "validation": partition.to_json()},
                          indent=2, sort_keys=True))
         return 1
-    switched = cons.gm_switch(g, partition)
+    switched = cons.gm_switch(g, parts)
     print(json.dumps({"graph6": graphs.emit_graph6(switched),
                       "validation": partition.to_json()},
                      indent=2, sort_keys=True))

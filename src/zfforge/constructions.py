@@ -24,7 +24,7 @@ forcing behaviour while preserving a spectrum:
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import graphs
@@ -44,12 +44,6 @@ class PreconditionError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-class InvalidPartitionError(ValueError):
-    def __init__(self, partition: "SwitchingPartition"):
-        self.partition = partition
-        super().__init__("; ".join(partition.issues) or "invalid switching partition")
-
-
 # ---------------------------------------------------------------------------
 # switching partitions
 # ---------------------------------------------------------------------------
@@ -59,7 +53,6 @@ class SwitchingPartition:
     """The parts X1..Xl checked against one graph: per-part cross counts,
     per-outside-vertex counts, and every violated condition."""
 
-    parts: tuple[int, ...]  # vertex masks X1..Xl
     part_counts: tuple[tuple[Optional[int], ...], ...]  # [i][j] = neighbours in part j of a part-i vertex
     outside_counts: tuple[tuple[int, tuple[int, ...]], ...]  # (vertex, counts per part)
     issues: tuple[str, ...]
@@ -97,12 +90,10 @@ def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
     for i, pi in enumerate(parts):
         row: list[Optional[int]] = []
         for j, pj in enumerate(parts):
-            counts = {(g.adj[v] & pj).bit_count() for v in bits(pi)}
-            if len(counts) == 1:
-                row.append(counts.pop())
-            else:
-                row.append(None)
+            counts = {(g.adj[v] & pj).bit_count() for v in bits(pi & g.full_mask)}
+            if len(counts) > 1:
                 issues.append(f"part {i} vertices disagree on neighbours in part {j}")
+            row.append(counts.pop() if len(counts) == 1 else None)
         part_counts.append(tuple(row))
 
     outside = []
@@ -114,22 +105,21 @@ def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
             if c not in (0, size) and 2 * c != size:
                 issues.append(f"vertex {y} has {c} neighbours in part {j} of size {size}")
 
-    return SwitchingPartition(tuple(parts), tuple(part_counts), tuple(outside), tuple(issues))
+    return SwitchingPartition(tuple(part_counts), tuple(outside), tuple(issues))
 
 
-def gm_switch(g: Graph, partition: SwitchingPartition | Sequence[int]) -> Graph:
+def gm_switch(g: Graph, parts: Sequence[int]) -> Graph:
     """Complement every half-neighbourhood of outside vertices against the parts.
 
-    The parts are checked on ``g`` itself, also when a ``SwitchingPartition``
-    made on another graph is passed.  Raises InvalidPartitionError (naming
-    the offending vertex or part) when they fail the switching conditions.
+    The parts (vertex masks X1..Xl) are checked once, on ``g`` itself.
+    Raises PreconditionError (naming the offending vertex or part) when they
+    fail the switching conditions.
     """
-    parts = partition.parts if isinstance(partition, SwitchingPartition) else partition
     partition = switching_partition(g, parts)
     if not partition.ok:
-        raise InvalidPartitionError(partition)
+        raise PreconditionError(partition.issues)
     rows = list(g.adj)
-    for part in partition.parts:
+    for part in parts:
         size = part.bit_count()
         for y, _counts in partition.outside_counts:
             inside = rows[y] & part
@@ -144,7 +134,7 @@ def gm_switch(g: Graph, partition: SwitchingPartition | Sequence[int]) -> Graph:
 
 
 def planted_switching_instance(rng: random.Random, n_min: int = 6, n_max: int = 12
-                               ) -> tuple[Graph, SwitchingPartition]:
+                               ) -> tuple[Graph, tuple[int, ...]]:
     """Random graph with a planted valid switching coclique, for property tests."""
     n = rng.randint(n_min, n_max)
     half = rng.randint(1, 2)
@@ -167,7 +157,7 @@ def planted_switching_instance(rng: random.Random, n_min: int = 6, n_max: int = 
             chosen = rng.sample(verts, half)
         edges.extend((y, x) for x in chosen)
     g = graphs.from_edges(n, edges)
-    return g, switching_partition(g, [xmask])
+    return g, (xmask,)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +181,7 @@ class ConstructionPair:
     provenance: str
     params: tuple[tuple[str, object], ...]
     expected: tuple[Expected, ...] = ()
-    partition: Optional[SwitchingPartition] = field(default=None, compare=False)
+    parts: tuple[int, ...] = ()  # the switching parts g_prime was switched over
 
     def __post_init__(self) -> None:
         if self.g.n != self.g_prime.n:
@@ -203,8 +193,8 @@ class ConstructionPair:
                "g": emit_graph6(self.g),
                "g_prime": emit_graph6(self.g_prime),
                "expected": [e.to_json() for e in self.expected]}
-        if self.partition is not None:
-            out["switching_parts"] = [sorted(bits(p)) for p in self.partition.parts]
+        if self.parts:
+            out["switching_parts"] = [sorted(bits(p)) for p in self.parts]
         return out
 
 
@@ -245,15 +235,13 @@ def theorem51_build(g1: Optional[Graph] = None, g2: Optional[Graph] = None,
     n = g1.n
     g_prime = disjoint_union(join(g1, path(m)), g2)
     xmask = mask_from(range(n)) | mask_from(range(n + m, 2 * n + m))
-    partition = switching_partition(g_prime, [xmask])
-    g_double_prime = gm_switch(g_prime, partition)
     return ConstructionPair(
         g=g_prime,
-        g_prime=g_double_prime,
+        g_prime=gm_switch(g_prime, [xmask]),
         provenance="theorem51",
         params=(("n", n), ("m", m)),
         expected=(),
-        partition=partition,
+        parts=(xmask,),
     )
 
 
@@ -363,12 +351,11 @@ def regular_construction(k: int) -> ConstructionPair:
     if g.is_regular() != 2 * k:
         raise AssertionError(f"construction for k={k} is not {2 * k}-regular")
     xmask = mask_from(range(nh)) | mask_from(a.values())
-    partition = switching_partition(g, [xmask])
-    g_prime = gm_switch(g, partition)
+    g_prime = gm_switch(g, [xmask])
     expected = (Expected("Z(g)", 4 * k - 2, "paper"),
                 Expected("Z(g_prime)_upper_bound", 4 * k - 3, "paper"),
                 Expected("Z(core)", 2 * k - 2, "paper"))
-    return ConstructionPair(g, g_prime, "regular6k", (("k", k),), expected, partition)
+    return ConstructionPair(g, g_prime, "regular6k", (("k", k),), expected, (xmask,))
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,13 @@ class ZfResult:
 
 
 def _as_mask(initial: VertexSetLike, n: int) -> int:
-    mask = initial if isinstance(initial, int) else sum(1 << v for v in set(initial))
-    if mask & ~((1 << n) - 1) or mask < 0:
+    if isinstance(initial, int):
+        mask, inside = initial, 0 <= initial < 1 << n
+    else:
+        vertices = set(initial)
+        inside = all(0 <= v < n for v in vertices)
+        mask = sum(1 << v for v in vertices) if inside else 0
+    if not inside:
         raise ValueError("initial set contains vertices outside the graph")
     return mask
 

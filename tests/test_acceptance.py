@@ -12,7 +12,8 @@ import time
 from fractions import Fraction
 
 from zfforge.claims import run_claims, summarize
-from zfforge.constructions import gm_switch, planted_switching_instance
+from zfforge.constructions import (gm_switch, planted_switching_instance,
+                                   switching_partition)
 from zfforge.forcing import Rule, closure, zero_forcing_number
 from zfforge.graphs import complement, disjoint_union
 from zfforge.randgraphs import random_graph
@@ -119,12 +120,12 @@ def test_criterion_9_property_suites():
     # switching involution and cospectrality on 100 planted instances
     rng = random.Random(9004)
     for i in range(100):
-        g, part = planted_switching_instance(rng)
-        if not part.ok:
+        g, parts = planted_switching_instance(rng)
+        if not switching_partition(g, parts).ok:
             violations.append(("planted-invalid", i))
             continue
-        switched = gm_switch(g, part)
-        if gm_switch(switched, part) != g:
+        switched = gm_switch(g, parts)
+        if gm_switch(switched, parts) != g:
             violations.append(("involution", i))
         if not cospectral(g, switched, MatrixKind.ADJACENCY):
             violations.append(("switch-cospectral", i))

@@ -182,5 +182,5 @@ def test_attached_certificates_are_self_contained():
 def test_duplicate_claim_id_is_rejected():
     before = dict(claims.REGISTRY)
     with pytest.raises(ValueError, match="duplicate claim id fig1.Z.left"):
-        claims._claim("fig1.Z.left", "a second fig1.Z.left", "paper", 6)(lambda seed: (6, {}))
+        claims._claim("fig1.Z.left", "a second fig1.Z.left", "paper", 6, lambda seed: (6, {}))
     assert claims.REGISTRY == before

@@ -100,6 +100,18 @@ def test_gm_switch_invalid_partition(capsys):
     payload = json.loads(out)
     assert payload["error"] == "invalid switching partition"
     assert payload["validation"]["issues"]
+    code, out, _ = run(capsys, "gm-switch", "grid_lattice:4", "--parts", "0,99")
+    assert code == 1
+    assert json.loads(out)["validation"]["issues"] == ["part 0 has vertices outside the graph"]
+    code, out, _ = run(capsys, "gm-switch", "grid_lattice:4", "--parts", ",")
+    assert code == 1
+    assert json.loads(out)["validation"]["issues"] == ["part 0 is empty"]
+
+
+def test_negative_vertex_is_named(capsys):
+    code, out, err = run(capsys, "gm-switch", "grid_lattice:4", "--parts=-1,5")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: vertex -1 is outside the graph"
 
 
 def test_construct_regular6k(capsys):

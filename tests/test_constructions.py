@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from zfforge.constructions import (Expected, InvalidPartitionError,
+from zfforge.constructions import (ConstructionPair, Expected,
                                    PreconditionError, circulant_h,
                                    corollary52_family, gm_switch,
                                    grid_diagonal_part, grid_shrikhande_report,
@@ -12,10 +12,11 @@ from zfforge.constructions import (Expected, InvalidPartitionError,
                                    switching_partition, tensor_family,
                                    theorem51_build, torus_zero_forcing)
 from zfforge.forcing import Rule, closure, verify_certificate, zero_forcing_number
-from zfforge.graphs import (cartesian, circulant, complement, complete,
-                            components, cycle, disjoint_union, ex32_g,
-                            fig1_left, fig1_right, from_edges, grid_lattice,
-                            is_isomorphic, join, mask_from, path)
+from zfforge.graphs import (ORDER_CAP, OrderCapError, cartesian, circulant,
+                            complement, complete, components, cycle,
+                            disjoint_union, ex32_g, fig1_left, fig1_right,
+                            from_edges, grid_lattice, is_isomorphic, join,
+                            mask_from, path)
 from zfforge.spectra import MatrixKind, cospectral
 
 from oracles import zf_h_check
@@ -35,8 +36,19 @@ def test_switching_partition_invalid_names_offender():
     assert not part.ok
     assert any("vertex 1 has 2 neighbours in part 0" in issue
                for issue in part.issues)
-    with pytest.raises(InvalidPartitionError):
-        gm_switch(g, part)
+    with pytest.raises(PreconditionError):
+        gm_switch(g, [mask_from([0, 2, 4])])
+    # an empty part is reported as empty, not as disagreeing with itself
+    part = switching_partition(g, [0])
+    assert part.issues == ("part 0 is empty",)
+    assert part.part_counts == ((None,),)
+    part = switching_partition(g, [mask_from([0, 2]), mask_from([2, 4])])
+    assert "part 1 overlaps an earlier part" in part.issues
+    # a vertex beyond the graph is reported, not indexed
+    part = switching_partition(g, [mask_from([0, 99])])
+    assert "part 0 has vertices outside the graph" in part.issues
+    with pytest.raises(PreconditionError, match="part 0 has vertices outside the graph"):
+        gm_switch(g, [mask_from([0, 99])])
 
 
 def test_switching_partition_rejects_uneven_part_degrees():
@@ -51,11 +63,11 @@ def test_gm_switch_checks_the_graph_it_switches():
     # a partition checked on the rook's graph says nothing about the rook's
     # graph minus an edge: there vertex 1 sees one diagonal vertex of four
     grid = grid_lattice(4)
-    part = switching_partition(grid, [grid_diagonal_part(4)])
-    assert part.ok
+    parts = [grid_diagonal_part(4)]
+    assert switching_partition(grid, parts).ok
     g = from_edges(16, [e for e in grid.edges() if e != (0, 1)])
-    with pytest.raises(InvalidPartitionError, match="vertex 1 has 1 neighbours in part 0"):
-        gm_switch(g, part)
+    with pytest.raises(PreconditionError, match="vertex 1 has 1 neighbours in part 0"):
+        gm_switch(g, parts)
 
 
 def test_gm_switch_identity_without_half_neighbourhoods():
@@ -78,10 +90,10 @@ def test_gm_switch_rook_gives_cospectral_nonisomorphic_mate():
 def test_gm_switch_involution_on_planted_instances():
     rng = random.Random(401)
     for _ in range(25):
-        g, part = planted_switching_instance(rng)
-        assert part.ok
-        switched = gm_switch(g, part)
-        assert gm_switch(switched, part) == g
+        g, parts = planted_switching_instance(rng)
+        assert switching_partition(g, parts).ok
+        switched = gm_switch(g, parts)
+        assert gm_switch(switched, parts) == g
         assert cospectral(g, switched, MatrixKind.ADJACENCY)
         assert cospectral(complement(g), complement(switched), MatrixKind.ADJACENCY)
 
@@ -92,8 +104,8 @@ def test_every_shipped_switch_pair_is_cospectral_with_complements():
         assert cospectral(pair.g, pair.g_prime, MatrixKind.ADJACENCY)
         assert cospectral(complement(pair.g), complement(pair.g_prime),
                           MatrixKind.ADJACENCY)
-        assert gm_switch(pair.g, pair.partition) == pair.g_prime
-        assert gm_switch(pair.g_prime, pair.partition) == pair.g
+        assert gm_switch(pair.g, pair.parts) == pair.g_prime
+        assert gm_switch(pair.g_prime, pair.parts) == pair.g
     grid = grid_lattice(4)
     assert cospectral(complement(grid), complement(shrikhande()),
                       MatrixKind.ADJACENCY)
@@ -102,7 +114,7 @@ def test_every_shipped_switch_pair_is_cospectral_with_complements():
 def test_theorem51_default_build():
     pair = theorem51_build()
     assert pair.g.n == 30 and pair.g_prime.n == 30
-    assert pair.partition.ok
+    assert switching_partition(pair.g, pair.parts).ok
     assert sorted(c.bit_count() for c in components(pair.g)) == [10, 20]
     assert cospectral(pair.g, pair.g_prime, MatrixKind.ADJACENCY)
 
@@ -130,6 +142,15 @@ def test_theorem51_preconditions_reported_individually():
     with pytest.raises(PreconditionError) as err:
         theorem51_build(disjoint_union(cycle(3), cycle(3)), cycle(6), 6)
     assert any("connected" in p for p in err.value.problems)
+    with pytest.raises(PreconditionError) as err:
+        theorem51_build(cycle(6), disjoint_union(cycle(3), cycle(3)), 6)
+    assert "g2 is not connected" in err.value.problems
+    with pytest.raises(PreconditionError) as err:
+        theorem51_build(cycle(4), path(4), 4)
+    assert "g2 is not regular" in err.value.problems
+    with pytest.raises(PreconditionError) as err:
+        theorem51_build(cycle(4), complete(4), 4)
+    assert "degrees differ (2 vs 3)" in err.value.problems
 
 
 def test_theorem51_self_pair_is_isomorphic():
@@ -179,8 +200,12 @@ def test_regular_construction_structure():
         assert pair.g.n == 6 * k
         assert pair.g.is_regular() == 2 * k
         assert pair.g_prime.is_regular() == 2 * k
-        assert pair.partition.ok
+        assert switching_partition(pair.g, pair.parts).ok
         assert cospectral(pair.g, pair.g_prime, MatrixKind.ADJACENCY)
+    with pytest.raises(ValueError, match="k >= 2"):
+        regular_construction(1)
+    with pytest.raises(OrderCapError):
+        regular_construction(ORDER_CAP // 6 + 1)
 
 
 def test_regular_construction_k2_values():
@@ -202,6 +227,8 @@ def test_circulant_core():
     assert h_witness_set(3) == (0, 2, 3, 4)
     for k in (2, 3, 5):
         assert zf_h_check(k)
+    with pytest.raises(ValueError, match="k >= 2"):
+        circulant_h(1)
 
 
 def test_tensor_family_fixture_values():
@@ -236,6 +263,17 @@ def test_join_family_preconditions():
         join_family(path(3), complete(3), 2)  # not Laplacian-cospectral
     with pytest.raises(PreconditionError):
         join_family(cycle(4), cycle(4), 2)  # no forcing difference
+    with pytest.raises(PreconditionError) as err:
+        join_family(fig1_left(), fig1_right(), 0)
+    assert err.value.problems == ["join family needs r >= 1"]
+    with pytest.raises(PreconditionError) as err:
+        join_family(disjoint_union(cycle(3), cycle(3)), cycle(6), 2)
+    assert "g1 is not connected" in err.value.problems
+    with pytest.raises(PreconditionError) as err:
+        join_family(cycle(6), disjoint_union(cycle(3), cycle(3)), 2)
+    assert "g2 is not connected" in err.value.problems
+    with pytest.raises(ValueError, match="equal order"):
+        ConstructionPair(path(3), path(4), "test", ())
 
 
 def test_grid_shrikhande_report():

@@ -28,6 +28,12 @@ def test_closure_path_endpoint_standard():
     assert verify_certificate(g, cert)
 
 
+def test_closure_rejects_vertices_outside_the_graph():
+    for initial in ([-1], [3], 1 << 3, -1):
+        with pytest.raises(ValueError, match="initial set contains vertices outside the graph"):
+            closure(path(3), Rule.PSD, initial)
+
+
 def test_closure_c6_skew_empty_stalls():
     g = cycle(6)
     final, cert = closure(g, Rule.SKEW, [])

@@ -302,8 +302,8 @@ def test_isomorphism_matches_networkx_vf2():
         rng.shuffle(perm)
         pairs.append((g, relabel(g, tuple(perm))))
     for _ in range(30):  # planted switching pairs: cospectral, often non-isomorphic
-        g, partition = planted_switching_instance(rng, 6, 24)
-        pairs.append((g, gm_switch(g, partition)))
+        g, parts = planted_switching_instance(rng, 6, 24)
+        pairs.append((g, gm_switch(g, parts)))
     for _ in range(40):  # same degree sequence: two random k-regular graphs
         n = rng.randint(4, 20)
         k = rng.choice([k for k in range(1, min(n, 6)) if n * k % 2 == 0])
