@@ -27,13 +27,19 @@ set forces everything exactly when it meets every fort, so each component
 minimum is a minimum hitting set of its forts (the fort cover of Brimkov,
 Fast and Hicks, EJOR 2019).  Forts are generated lazily: a set that fails to
 close is grown, one vertex at a time while it stays proper, into a maximal
-closed set whose complement is a minimal fort.  One depth-first branch and
-bound finds the minimum: the incumbent, the smallest forcing set found so
-far, starts as the whole component, and a node may pick only as many more
-vertices as keep its set below the incumbent.  A node branches on the unhit
-fort with the fewest allowed vertices, bans each vertex once tried, and
-runs the real closure at every leaf; a leaf that closes becomes the
-incumbent.  The search stops early when the incumbent meets the proven
+closed set whose complement is a minimal fort.  A vertex whose addition
+closes everything is essential to that growth: the closed set only grows
+and every rule's closure is monotone, so a later closure that turns an
+essential vertex blue ends full, and it stops there (``_close``'s
+``stop``).  One depth-first branch and bound finds the minimum: the
+incumbent, the smallest forcing set found so far, starts as the whole
+component, and a node may pick only as many more vertices as keep its set
+below the incumbent.  A node branches on the unhit fort with the fewest
+allowed vertices, bans each vertex once tried, and runs the real closure at
+every leaf; a leaf that closes becomes the incumbent.  On the last pick
+only a vertex in every unhit fort can give a forcing set, so a node with
+one pick left tries only those, and bans the others untried, as it would
+after a child that failed.  The search stops early when the incumbent meets the proven
 lower bound in the component's minimum degree delta: Z >= delta,
 Z_plus >= treewidth >= delta and Z_minus >= delta - 1.  Otherwise it ends
 only when no smaller set survives, so every value is decided by exhaustive
@@ -148,7 +154,7 @@ def _as_mask(initial: VertexSetLike, n: int) -> int:
 # the force condition, written once for all three rules
 # ---------------------------------------------------------------------------
 
-def _close(adj, full, blue, skew, psd, trace=None):
+def _close(adj, full, blue, skew, psd, trace=None, stop=0):
     """Closure of ``blue`` in the graph with rows ``adj`` and vertex mask ``full``.
 
     A pass takes the white regions in turn: all white vertices, or under psd
@@ -159,7 +165,9 @@ def _close(adj, full, blue, skew, psd, trace=None):
     force legal at the start of a pass stays legal as white shrinks (psd
     components only split), so a pass fires them all; a pass that fires
     nothing ends the closure.  With a ``trace`` list a pass fires only the
-    lexicographically least (actor, target) pair, and appends it.
+    lexicographically least (actor, target) pair, and appends it.  A pass
+    that turns a vertex of ``stop`` blue returns ``full`` at once: the
+    caller's promise that such a closure ends full.
     """
     while True:
         rest = full & ~blue
@@ -191,6 +199,8 @@ def _close(adj, full, blue, skew, psd, trace=None):
             newly = 1 << trace[-1][1]
         if not newly:
             return blue
+        if newly & stop:
+            return full
         blue |= newly
 
 
@@ -277,14 +287,19 @@ def _component_minimum(g: Graph, comp: int, rule: Rule, budget: Budget) -> int:
 
     def minimal_fort(closed: int) -> int:
         # grow the proper closed set to a maximal one; its complement is a
-        # minimal fort
+        # minimal fort.  essential: the vertices whose addition closed
+        # everything; closed only grows, so a closure that reaches one of
+        # them ends full too
+        essential = 0
         for v in bits(comp & ~closed):
             low = 1 << v
             if closed & low:
                 continue
             budget.spend()
-            grown = _close(adj, comp, closed | low, skew, psd)
-            if grown != comp:
+            grown = _close(adj, comp, closed | low, skew, psd, stop=essential)
+            if grown == comp:
+                essential |= low
+            else:
                 closed = grown
         return comp & ~closed
 
@@ -310,20 +325,31 @@ def _component_minimum(g: Graph, comp: int, rule: Rule, budget: Budget) -> int:
             unhit.append(forts[-1])
         if left == 0:
             return False
-        allowed = min((f & ~banned for f in unhit), key=int.bit_count)
+        symmetric = len(group) > 1  # else the identity alone, its own stabiliser
+        common = comp  # on the last pick: the vertices in every unhit fort
+        if left == 1:
+            for f in unhit:
+                common &= f
+        if left == 1 and not symmetric:
+            allowed = common & ~banned
+        else:
+            allowed = min((f & ~banned for f in unhit), key=int.bit_count)
         if not allowed:
             return False
-        symmetric = len(group) > 1  # else the identity alone, its own stabiliser
         for v in bits(allowed):
             low = 1 << v
             if banned & low:  # in the orbit of a vertex already tried
                 continue
-            known = len(forts)
-            stabiliser = [p for p in group if p[v] == v] if symmetric else group
-            if search(chosen | low, depth + 1, banned, [f for f in unhit if not f & low],
-                      stabiliser):
-                return True
-            unhit.extend(forts[known:])
+            if common & low:  # else a last pick that misses a fort: banned untried
+                known = len(forts)
+                stabiliser = [p for p in group if p[v] == v] if symmetric else group
+                if search(chosen | low, depth + 1, banned, [f for f in unhit if not f & low],
+                          stabiliser):
+                    return True
+                unhit.extend(forts[known:])
+                if left == 1:
+                    for f in forts[known:]:
+                        common &= f
             banned |= low
             if symmetric:  # ban v's whole orbit
                 for p in group:

@@ -393,6 +393,8 @@ def components(g: Graph) -> list[int]:
 
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph on the masked vertices plus the map from new to old indices."""
+    if mask & ~g.full_mask:  # also every negative mask, on which bits never ends
+        raise GraphError(f"vertex mask {mask} has vertices outside 0..{g.n - 1}")
     verts = tuple(list(bits(mask)))
     pos = {v: i for i, v in enumerate(verts)}
     rows = []

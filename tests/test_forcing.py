@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -485,14 +487,32 @@ def test_symmetry_fallbacks_give_the_same_values(monkeypatch):
 
 
 def test_orbital_branching_keeps_its_pruning():
-    # steps spent with orbital branching; the branch and bound without it
-    # took 41,371, 20,418, 24,197 and 266,891
-    pins = {"r4": (grid_lattice(4), Rule.PSD, 10, 3_136),
-            "shrikhande": (shrikhande(), Rule.PSD, 9, 3_685),
-            "join.iterated.fig1": (iterated_join(fig1_left(), 1), Rule.STANDARD, 16, 5_272),
-            "C4xC9": (cartesian(cycle(4), cycle(9)), Rule.STANDARD, 8, 38_907)}
+    # steps spent with orbital branching and the last-pick rule; the search
+    # without the last-pick rule took 3,136, 3,685, 5,272 and 38,907, and
+    # the branch and bound without orbits 41,371, 20,418, 24,197 and 266,891
+    pins = {"r4": (grid_lattice(4), Rule.PSD, 10, 3_088),
+            "shrikhande": (shrikhande(), Rule.PSD, 9, 3_335),
+            "join.iterated.fig1": (iterated_join(fig1_left(), 1), Rule.STANDARD, 16, 5_012),
+            "C4xC9": (cartesian(cycle(4), cycle(9)), Rule.STANDARD, 8, 16_993)}
     for name, (g, rule, value, most) in pins.items():
         result = zero_forcing_number(g, rule, order_cap=64)
         assert result.value == value, name
         assert verify_certificate(g, result.witness)
         assert result.explored <= most, (name, result.explored)
+
+
+def test_search_witnesses_are_pinned():
+    # one digest over every rule's value and witness on seeded random graphs
+    # and the symmetric fixtures: a pruning that must not change the search's
+    # answers, such as the early exit at an essential vertex or the
+    # last-pick rule, keeps every witness byte for byte
+    rng = random.Random(263)
+    fixtures = [random_graph(rng, rng.randint(1, 14), rng.choice((0.2, 0.35, 0.5, 0.7)))
+                for _ in range(30)]
+    digest = hashlib.sha256()
+    for g in fixtures + _symmetric_fixtures():
+        for rule in ALL_RULES:
+            result = zero_forcing_number(g, rule)
+            digest.update(json.dumps([result.value, result.witness.to_json()]).encode())
+    assert digest.hexdigest() == \
+        "0f0794a6724ee072d81909d66231e9a6a2f8bc0d3e6c063c62cfec244b5aacd9"

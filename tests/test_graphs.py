@@ -212,6 +212,13 @@ def test_components_partition_and_induced():
         assert edge_total == g.m  # components cover every edge
 
 
+def test_induced_subgraph_rejects_a_mask_outside_the_graph():
+    for mask in (-1, -2, 1 << 3, 0b1001):
+        with pytest.raises(GraphError, match=f"vertex mask {mask} has vertices outside 0..2"):
+            induced_subgraph(path(3), mask)
+    assert induced_subgraph(path(3), 0b101) == (empty(2), (0, 2))
+
+
 def test_isomorphism_fixture_pair_differs():
     iso, mapping = is_isomorphic(fig1_left(), fig1_right())
     assert not iso and mapping is None
