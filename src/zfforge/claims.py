@@ -15,7 +15,9 @@ builds no graph.  Every exact forcing value comes from ``_zf_claim``, which
 solves, replays the witness independently and attaches it.
 
 ``run_claims`` evaluates any id-prefix slice of the catalog, optionally
-across processes, and always reports in canonical id order.
+across processes, and always reports in canonical id order.  The process
+pool is imported only when more than one job runs, so a one-job run and a
+plain ``import zfforge`` never load ``multiprocessing``.
 
 Claim ids are a public contract; renaming one is a breaking change.
 """
@@ -25,7 +27,6 @@ from __future__ import annotations
 import random
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -389,6 +390,7 @@ def run_claims(prefix: Optional[str] = None, jobs: int = 1, seed: int = 0) -> li
     """Evaluate all claims whose id starts with ``prefix`` (default: all)."""
     ids = [cid for cid in claim_ids() if prefix is None or cid.startswith(prefix)]
     if jobs > 1 and len(ids) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(evaluate_claim, ids, [seed] * len(ids)))
     else:

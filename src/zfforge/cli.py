@@ -58,6 +58,16 @@ def _parse_vertex_list(raw: str) -> list[int]:
     return vertices
 
 
+def _job_count(raw: str) -> int:
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {raw!r}")
+    return jobs
+
+
 def _add_input_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default="auto",
                         choices=["auto", "name", "graph6", "edgelist", "file"],
@@ -131,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run the built-in claim catalog")
     p.add_argument("--only", help="restrict to claim ids with this prefix")
     p.add_argument("--json", help="write the full report JSON here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1,
+                   help="worker processes, at least 1 (default: 1, no process pool)")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

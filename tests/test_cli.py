@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,24 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zf", "fig1_left", "--rule", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_verify_paper_jobs_below_one_is_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--only", "fig1.Z.left", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs: must be an integer of at least 1" in capsys.readouterr().err
+
+
+def test_import_loads_no_process_pool():
+    # the pool machinery is about 40% of a cold start, and only --jobs > 1 needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, zfforge, zfforge.cli\n"
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_load_graph_formats(tmp_path):
