@@ -392,13 +392,13 @@ def tensor_family(g: Graph, r: int, *, witness_budget: int = 4000,
     """
     if r < 3:
         raise PreconditionError(["tensor family needs r >= 3"])
+    product = graphs.tensor(g, complete(r))  # past the order cap: raise before any solve
     z_minus = zero_forcing_number(g, Rule.SKEW).value
     witness = max_nullity_witness_search(g, budget=witness_budget, seed=seed)
     if witness.achieved_nullity != z_minus:
         raise PreconditionError(
             [f"maximum skew nullity is not established: best witness nullity "
              f"{witness.achieved_nullity} != Z_minus {z_minus}"])
-    product = graphs.tensor(g, complete(r))
     value = (r - 2) * g.n + 2 * z_minus
     expected = (Expected("Z(product)", value, "paper"),
                 Expected("Z_minus(product)", value, "paper"))
@@ -421,18 +421,19 @@ def join_family(g1: Graph, g2: Graph, r: int) -> ConstructionPair:
         problems.append("inputs are not Laplacian-cospectral")
     if problems:
         raise PreconditionError(problems)
+    kr = complete(r)
+    joins = join(g1, kr), join(g2, kr)  # past the order cap: raise before any solve
     z1 = zero_forcing_number(g1, Rule.STANDARD).value
     z2 = zero_forcing_number(g2, Rule.STANDARD).value
     zm1 = zero_forcing_number(g1, Rule.SKEW).value
     zm2 = zero_forcing_number(g2, Rule.SKEW).value
     if z1 == z2 and zm1 == zm2:
         raise PreconditionError(["inputs do not differ in standard or skew forcing number"])
-    kr = complete(r)
     expected = (Expected("Z(g1_join)", r + z1, "paper"),
                 Expected("Z(g2_join)", r + z2, "paper"),
                 Expected("Z_minus(g1_join)", r + zm1, "paper"),
                 Expected("Z_minus(g2_join)", r + zm2, "paper"))
-    return ConstructionPair(join(g1, kr), join(g2, kr), "join-family",
+    return ConstructionPair(*joins, "join-family",
                             (("r", r), ("n", g1.n)), expected)
 
 

@@ -19,10 +19,11 @@ which white set the exactly-one test looks at (all white vertices, or the
 target's white component under psd).  The fort search and the certificate
 closure both call it.
 
-The solver works per connected component and sums the component minima
-(all three parameters are additive over components; in particular an
-isolated vertex always costs 1, since no rule lets anything force a vertex
-with no neighbours).  A fort is the complement of a proper closed set, and a
+The solver takes each connected component as a graph of its own
+(``graphs.induced_subgraph``) and sums the component minima (all three
+parameters are additive over components; in particular an isolated vertex
+always costs 1, since no rule lets anything force a vertex with no
+neighbours).  A fort is the complement of a proper closed set, and a
 set forces everything exactly when it meets every fort, so each component
 minimum is a minimum hitting set of its forts (the fort cover of Brimkov,
 Fast and Hicks, EJOR 2019).  Forts are generated lazily: a set that fails to
@@ -66,10 +67,10 @@ of budget, is replaced by the identity alone, never cut short.
 
 Search effort is metered by one ``graphs.Budget`` per solve, set only by the
 ``budget`` argument: every closure evaluation and every branch node spends
-one step.  The first step past the budget raises BudgetExceededError naming
-the rule, the component's order and the steps spent; a component above the
-order cap raises it too.  Neither degrades to an approximation.  The
-automorphism group is found with a budget of its own, so
+one step.  The budget is the solver's only limit: no component is refused
+for its order.  The first step past it raises BudgetExceededError naming
+the rule, the component's order and the steps spent, never an
+approximation.  The automorphism group is found with a budget of its own, so
 ``ZfResult.explored`` counts fort-search steps only.
 Nothing is remembered between solves: every call searches from scratch.
 
@@ -85,8 +86,6 @@ from typing import Iterable, Union
 
 from .graphs import (Budget, BudgetExceededError, Graph, automorphism_group, bits,
                      components, induced_subgraph, is_connected, join)
-
-DEFAULT_ORDER_CAP = 24
 
 VertexSetLike = Union[int, Iterable[int]]
 
@@ -252,36 +251,21 @@ def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: boo
 # exact minimum search
 # ---------------------------------------------------------------------------
 
-def _lower_bound(adj, comp: int, rule: Rule) -> int:
+def _lower_bound(g: Graph, rule: Rule) -> int:
     """Z >= delta, Z_plus >= tw >= delta and Z_minus >= delta - 1, with delta
-    the minimum degree over the vertices of ``comp``."""
-    delta = min(adj[v].bit_count() for v in bits(comp))
+    the minimum degree of g."""
+    delta = min(row.bit_count() for row in g.adj)
     return max(delta - 1, 0) if rule is Rule.SKEW else delta
 
 
-def _component_group(g: Graph, comp: int) -> list[bytes]:
-    """The automorphism group of the component ``comp`` of g, as
-    permutations of g's own vertex indices that fix every other vertex."""
-    if comp == g.full_mask:
-        return automorphism_group(g)
-    sub, verts = induced_subgraph(g, comp)
-    lifted = bytearray(range(g.n))
-    group = []
-    for p in automorphism_group(sub):
-        for i, v in enumerate(verts):
-            lifted[v] = verts[p[i]]
-        group.append(bytes(lifted))
-    return group
-
-
-def _component_minimum(g: Graph, comp: int, rule: Rule, budget: Budget) -> int:
-    """Minimum forcing set of the connected component ``comp`` (a vertex mask
-    of g), as a minimum hitting set of lazily generated forts, branching on
-    automorphism orbits (see the module docstring); returns its mask."""
-    budget.what = f"{rule.value} search on a component of order {comp.bit_count()}"
-    adj = g.adj
+def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
+    """Minimum forcing set of the connected graph g, as a minimum hitting set
+    of lazily generated forts, branching on automorphism orbits (see the
+    module docstring); returns its mask."""
+    budget.what = f"{rule.value} search on a component of order {g.n}"
+    adj, comp = g.adj, g.full_mask
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
-    bound = _lower_bound(adj, comp, rule)
+    bound = _lower_bound(g, rule)
     forts: list[int] = []
     best = comp  # the incumbent: the smallest forcing set found so far
 
@@ -356,27 +340,24 @@ def _component_minimum(g: Graph, comp: int, rule: Rule, budget: Budget) -> int:
                     banned |= 1 << p[v]
         return False
 
-    search(0, 0, 0, [], _component_group(g, comp))
+    search(0, 0, 0, [], automorphism_group(g))
     del search  # it refers to itself: free its forts now, not at a later collection
     return best
 
 
-def zero_forcing_number(g: Graph, rule: Rule, *,
-                        budget: int = 10 ** 8,
-                        order_cap: int = DEFAULT_ORDER_CAP) -> ZfResult:
+def zero_forcing_number(g: Graph, rule: Rule, *, budget: int = 10 ** 8) -> ZfResult:
     """Exact minimum forcing-set size with witness certificate.
 
-    Searches each connected component separately: the parameter is additive
-    over components.  All components spend from one Budget of ``budget``
-    search steps.
+    Searches each connected component as a graph of its own: the parameter
+    is additive over components.  All components spend from one Budget of
+    ``budget`` search steps, the solver's only limit.
     """
     state = Budget(budget)
     initial = 0
     for comp in components(g):
-        if comp.bit_count() > order_cap:
-            raise BudgetExceededError(
-                f"component of order {comp.bit_count()} exceeds the order cap {order_cap}")
-        initial |= _component_minimum(g, comp, rule, state)
+        sub, verts = induced_subgraph(g, comp)
+        for i in bits(_component_minimum(sub, rule, state)):
+            initial |= 1 << verts[i]
 
     final, cert = closure(g, rule, initial)
     if final != g.full_mask:

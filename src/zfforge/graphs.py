@@ -39,7 +39,7 @@ class GraphError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A search would exceed its step budget or order cap."""
+    """A search would exceed its step budget."""
 
 
 class Budget:

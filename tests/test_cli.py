@@ -9,7 +9,7 @@ import pytest
 from zfforge import claims
 from zfforge.cli import load_graph, main
 from zfforge.forcing import ForcingCertificate, verify_certificate
-from zfforge.graphs import complete, cycle, emit_graph6, fig1_left, parse_graph6, path
+from zfforge.graphs import cartesian, complete, cycle, emit_graph6, fig1_left, parse_graph6, path
 
 
 def run(capsys, *argv):
@@ -48,6 +48,12 @@ def test_zf_value_and_certificate(tmp_path, capsys):
 def test_zf_accepts_graph6_input(capsys):
     code, out, _ = run(capsys, "zf", emit_graph6(cycle(6)), "--rule", "skew")
     assert code == 0 and out.strip() == "2"
+
+
+def test_zf_solves_a_component_above_24_vertices(capsys):
+    torus = emit_graph6(cartesian(cycle(5), cycle(5)))
+    code, out, _ = run(capsys, "zf", torus, "--rule", "standard")
+    assert code == 0 and out.strip() == "9"
 
 
 def test_closure_trace(capsys):

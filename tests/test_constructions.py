@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zfforge import constructions
 from zfforge.constructions import (ConstructionPair, Expected,
                                    PreconditionError, circulant_h,
                                    corollary52_family, gm_switch,
@@ -256,6 +257,17 @@ def test_join_family_fixture_pair():
                       "Z_minus(g1_join)": 6, "Z_minus(g2_join)": 6}
     assert zero_forcing_number(pair.g, Rule.STANDARD).value == 8
     assert zero_forcing_number(pair.g_prime, Rule.STANDARD).value == 6
+
+
+def test_families_check_their_order_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the order cap was checked")
+
+    monkeypatch.setattr(constructions, "zero_forcing_number", no_solve)
+    with pytest.raises(OrderCapError):
+        join_family(fig1_left(), fig1_right(), 55)  # order 65
+    with pytest.raises(OrderCapError):
+        tensor_family(ex32_g(), 10)  # order 70
 
 
 def test_join_family_preconditions():

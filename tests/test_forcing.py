@@ -188,14 +188,20 @@ def test_component_additivity_against_whole_graph_search():
             assert zero_forcing_number(g, rule).value == gosper_minimum(g, rule)
 
 
-def test_budget_and_order_cap_errors():
+def test_budget_is_the_only_limit():
     with pytest.raises(BudgetExceededError) as info:
         zero_forcing_number(fig1_left(), Rule.STANDARD, budget=5)
     message = str(info.value)
     assert "order 10" in message and "standard" in message and "6 steps" in message
+    # no component is refused for its order: C5 x C5 has 25 vertices and
+    # solves in a few thousand steps with the default budget
+    torus = cartesian(cycle(5), cycle(5))
+    result = zero_forcing_number(torus, Rule.STANDARD)
+    assert result.value == 9
+    assert verify_certificate(torus, result.witness)
     with pytest.raises(BudgetExceededError) as info:
-        zero_forcing_number(grid_lattice(4), Rule.STANDARD, budget=10 ** 6, order_cap=10)
-    assert "order 16" in str(info.value)
+        zero_forcing_number(cartesian(cycle(6), cycle(6)), Rule.STANDARD, budget=1_000)
+    assert "order 36" in str(info.value)
 
 
 def test_budget_error_names_the_component_that_ran_out():
@@ -495,7 +501,7 @@ def test_orbital_branching_keeps_its_pruning():
             "join.iterated.fig1": (iterated_join(fig1_left(), 1), Rule.STANDARD, 16, 5_012),
             "C4xC9": (cartesian(cycle(4), cycle(9)), Rule.STANDARD, 8, 16_993)}
     for name, (g, rule, value, most) in pins.items():
-        result = zero_forcing_number(g, rule, order_cap=64)
+        result = zero_forcing_number(g, rule)
         assert result.value == value, name
         assert verify_certificate(g, result.witness)
         assert result.explored <= most, (name, result.explored)
