@@ -58,14 +58,14 @@ def _parse_vertex_list(raw: str) -> list[int]:
     return vertices
 
 
-def _job_count(raw: str) -> int:
+def _positive_int(raw: str) -> int:
     try:
-        jobs = int(raw)
+        value = int(raw)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {raw!r}")
-    return jobs
+    return value
 
 
 def _add_input_format(parser: argparse.ArgumentParser) -> None:
@@ -134,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skew-nullity", help="maximum-nullity witness search")
     p.add_argument("input")
-    p.add_argument("--budget", type=int, default=4000)
+    p.add_argument("--budget", type=_positive_int, default=4000)
     p.add_argument("--seed", type=int, default=0)
     _add_input_format(p)
 
     p = sub.add_parser("verify-paper", help="run the built-in claim catalog")
     p.add_argument("--only", help="restrict to claim ids with this prefix")
     p.add_argument("--json", help="write the full report JSON here")
-    p.add_argument("--jobs", type=_job_count, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes, at least 1 (default: 1, no process pool)")
     p.add_argument("--seed", type=int, default=0)
 

@@ -11,7 +11,9 @@ uses the shape of A, L and Q:
   of B^a C with B^b C for a + b = e, and only half the Krylov vectors B^a C
   are built;
 * every off-diagonal entry is 1 (-1 for L) and the diagonal is 0 or the
-  degree, so B v is a sum of v over each vertex's neighbours in the block.
+  degree, so B v is a sum of v over each vertex's neighbours in the block,
+  read by one ``operator.itemgetter`` per vertex: every Krylov product and
+  dot product is a chain of C-level ``map`` and ``sum`` calls.
 
 Every step is exact integer arithmetic, so the result is det(xI - M) itself:
 the same integers as the dense loop's, which borders the vertices in the
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass
-from operator import mul
+from itertools import repeat
+from operator import add, itemgetter, mul, neg, sub
 
 from .graphs import Graph, bits, join
 
@@ -77,6 +80,14 @@ class CharPoly:
         return cls(tuple(int(c) for c in data))
 
 
+def _getter(positions: list[int]) -> itemgetter:
+    # CPython 3.11 keeps every freed 20-item tuple on a free list that it never
+    # pops (up to 2,000 of them, 0.37 MB), so no getter returns 20 items
+    if len(positions) == 20:
+        positions = [*positions, 0]
+    return itemgetter(*positions)
+
+
 def _berkowitz(g: Graph, kind: MatrixKind) -> list[int]:
     # Coefficients of det(xI - M), built up one leading principal submatrix at
     # a time: bordering vertex p onto the block B on vertices 0..p-1 multiplies
@@ -85,26 +96,40 @@ def _berkowitz(g: Graph, kind: MatrixKind) -> list[int]:
     # R B^e C = (B^a C).(B^b C) for a + b = e: only the vectors B^a C with
     # a <= p/2 are built.  C is the off-diagonal sign times the 0/1 indicator
     # of p's neighbours in the block, and the sign cancels in R B^e C, so the
-    # indicator serves for all three kinds.  B v is a row sum: diag[s] v[s]
-    # plus the sign times the sum of v over nbrs[s], the neighbours of s
-    # inside the block.
-    sign = -1 if kind is MatrixKind.LAPLACIAN else 1
-    diag: list[int] = []
-    nbrs: list[list[int]] = []
+    # indicator serves for all three kinds.  (B v)[s] is diag[s] v[s] plus
+    # the sign times sum(getters[s + 1](v)): vertex s sits at index s + 1 of
+    # every vector, index 0 holds 0 (getters[0] and diag[0] keep it there),
+    # and itemgetter(0, 0, *(t + 1 for each neighbour t of s in the block))
+    # returns a tuple for any neighbour count.
+    # Bordering p rebuilds only the getters of p's neighbours.
+    combine = (None if kind is MatrixKind.ADJACENCY
+               else sub if kind is MatrixKind.LAPLACIAN else add)
+    diag = [0]
+    reads = [[0, 0]]
+    getters = [itemgetter(0, 0)]
     poly = [1]
     for p, row in enumerate(g.adj):
-        below = list(bits(row & ((1 << p) - 1)))
-        u = [row >> q & 1 for q in range(p)]
-        krylov = [u]
+        below = list(bits((row & ((1 << p) - 1)) << 1))  # positions of p's neighbours
+        u = [0] * (p + 1)
+        for t in below:
+            u[t] = 1
+        # each vector goes in twice: krylov[e] = B^(e // 2) C, so
+        # R B^e C = krylov[e + 1].krylov[e]
+        krylov = [u, u]
         for _ in range(p // 2):
-            krylov.append(u := [d * x + sign * sum(map(u.__getitem__, nb))
-                                for d, x, nb in zip(diag, u, nbrs)])
+            sums = map(sum, map(itemgetter.__call__, getters, repeat(u)))
+            if combine:
+                sums = map(combine, map(mul, diag, u), sums)
+            u = list(sums)
+            krylov += u, u
         a = 0 if kind is MatrixKind.ADJACENCY else row.bit_count()
-        col = [1, -a] + [-sum(map(mul, krylov[(e + 1) // 2], krylov[e // 2]))
-                         for e in range(p)]
-        for q in below:
-            nbrs[q].append(p)
-        nbrs.append(below)
+        col = [1, -a, *map(neg, map(sum, map(map, repeat(mul),
+                                                krylov[1:p + 1], krylov[:p])))]
+        for t in below:
+            reads[t].append(p + 1)
+            getters[t] = _getter(reads[t])
+        reads.append([0, 0, *below])
+        getters.append(_getter(reads[p + 1]))
         diag.append(a)
         # the Toeplitz product, truncated to degree p + 1
         rpoly = poly[::-1]

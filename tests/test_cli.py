@@ -235,6 +235,14 @@ def test_verify_paper_jobs_below_one_is_usage_error(capsys, jobs):
     assert "--jobs: must be an integer of at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_skew_nullity_budget_below_one_is_usage_error(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["skew-nullity", "fig1_left", "--budget", budget])
+    assert exc.value.code == 2
+    assert "--budget: must be an integer of at least 1" in capsys.readouterr().err
+
+
 def test_import_loads_no_process_pool():
     # the pool machinery is about 40% of a cold start, and only --jobs > 1 needs it
     src = Path(__file__).resolve().parents[1] / "src"
