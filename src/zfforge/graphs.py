@@ -6,12 +6,12 @@ the orders this package handles (capped at 64).  Vertex sets are plain ints
 used as bitmasks throughout; ``mask_from`` and ``bits`` convert between masks
 and vertex iterables.
 
-Isomorphism is decided by individualisation-refinement: joint colour
-refinement of both graphs, then branching on one vertex of the smallest
-non-trivial colour class with a refinement after every choice.  A "no" is an
-exhaustive proof; a "yes" returns one checked mapping, which may be any
-isomorphism.  The components of the two graphs are matched up first, so the
-search only runs on connected pairs.  One call may spend at most
+Isomorphism is decided by individualisation-refinement: colour refinement
+of the first graph, replayed on the second, then branching on one vertex of
+the smallest non-trivial colour class with a refinement after every choice.
+A "no" is an exhaustive proof; a "yes" returns one checked mapping, which
+may be any isomorphism.  The components of the two graphs are matched up
+first, so the search only runs on connected pairs.  One call may spend at most
 ``ISO_NODE_CAP`` individualisation nodes over all its pairs and raises
 BudgetExceededError past it.  The isomorphism search itself has no
 automorphism pruning, but the same machinery, run on a graph against
@@ -352,6 +352,8 @@ def line_graph(g: Graph) -> Graph:
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     """Apply a permutation: old vertex v becomes perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise GraphError(f"{tuple(perm)} is not a permutation of 0..{g.n - 1}")
     rows = [0] * g.n
     for v in range(g.n):
         row = 0
@@ -421,30 +423,39 @@ def _neighbour_lists(g: Graph) -> list[list[int]]:
     return [list(bits(row)) for row in g.adj]
 
 
-def _joint_refine(g: list[list[int]], h: list[list[int]],
-                  cg: list[int], ch: list[int]) -> Optional[tuple[list[int], list[int]]]:
-    # Refine both colourings to equitable ones with one colour table, so a
-    # colour means the same thing in both graphs.  ``g`` and ``h`` are
-    # neighbour lists.  None as soon as the two sides stop matching: then no
-    # isomorphism respects the colourings given.  A discrete colouring is
-    # equitable already: another round would only rename its colours in the
-    # same order.  A graph refined against itself from equal colourings stays
-    # equal on both sides, so that side is refined once.
-    same = g is h and cg == ch
-    ncolors = len(set(cg))
+def _refine(nbrs: list[list[int]], colouring: list[int]) -> tuple[list, list[int]]:
+    # Refine a colouring to an equitable one, keeping each round as (key ->
+    # colour table, the new colours sorted) so that _search_mapping can refine
+    # another graph by the same tables.  A discrete colouring is equitable
+    # already: another round would only rename its colours in the same order.
+    rounds = []
+    ncolors = len(set(colouring))
     while True:
-        keys_g = [(cg[v], tuple(sorted([cg[u] for u in nbrs]))) for v, nbrs in enumerate(g)]
-        ordered = sorted(keys_g)
-        if not same:
-            keys_h = [(ch[v], tuple(sorted([ch[u] for u in nbrs]))) for v, nbrs in enumerate(h)]
-            if ordered != sorted(keys_h):
-                return None
+        keys = [(colouring[v], tuple(sorted([colouring[u] for u in nb])))
+                for v, nb in enumerate(nbrs)]
+        ordered = sorted(keys)
         table = {k: i for i, k in enumerate(dict.fromkeys(ordered))}
-        cg = [table[k] for k in keys_g]
-        ch = cg if same else [table[k] for k in keys_h]
-        if len(table) == ncolors or len(table) == len(g):
-            return cg, ch
+        colouring = [table[k] for k in keys]
+        rounds.append((table, [table[k] for k in ordered]))
+        if len(table) == ncolors or len(table) == len(nbrs):
+            return rounds, colouring
         ncolors = len(table)
+
+
+def _path(nbrs: list[list[int]], colouring: list[int]) -> list[tuple]:
+    # g's side of every search, worked out once: the path of the tree that
+    # gives the first vertex of each target cell a fresh colour.  Per level:
+    # the refinement rounds, the equitable colouring, its target cell and
+    # that fresh colour; the last level is discrete and has neither.
+    path = []
+    while True:
+        rounds, colouring = _refine(nbrs, colouring)
+        cell = _target_cell(colouring)
+        path.append((rounds, colouring, cell, None if cell is None else max(colouring) + 1))
+        if cell is None:
+            return path
+        colouring = colouring[:]
+        colouring[cell[0]] = path[-1][3]
 
 
 def _target_cell(colouring: list[int]) -> Optional[list[int]]:
@@ -465,11 +476,13 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     Disjoint unions are isomorphic exactly when their components pair off
     isomorphically, so each component of g is matched to an unused
     component of h that is isomorphic to it, and the search only ever sees
-    connected pairs.  For a pair, both graphs are refined jointly to
-    equitable colourings.  While g's colouring is not discrete, the first
-    vertex of its smallest non-singleton class is given a fresh colour and
-    tried against every vertex of the same class in h, refining again after
-    each choice (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    connected pairs.  For a pair, g's side is refined once: to an equitable
+    colouring, then again each time the first vertex of its smallest
+    non-singleton class gets a fresh colour, until it is discrete.  Each
+    such vertex is tried against every vertex of the same class in h, and h
+    is refined by the colour tables recorded on g's side after each choice;
+    a key they lack, or a class of another size, ends the branch (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014).
     A discrete colouring fixes a mapping, which counts only if it carries
     every row of g onto the row of h.  A "no" is therefore an exhaustive
     proof, and a "yes" comes with a checked mapping; when several
@@ -487,10 +500,10 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     for comp in components(g):
         sub, verts = induced_subgraph(g, comp)
         budget.what = f"isomorphism search on a component of order {sub.n}"
-        nbrs = _neighbour_lists(sub)
+        path = _path(_neighbour_lists(sub), [0] * sub.n)
         for i, (sub_h, verts_h) in enumerate(unused):
-            found = _search_mapping(sub, sub_h, nbrs, _neighbour_lists(sub_h),
-                                    [0] * sub.n, [0] * sub_h.n, budget)
+            found = _search_mapping(sub, sub_h, path, 0, _neighbour_lists(sub_h),
+                                    [0] * sub_h.n, budget)
             if found is not None:
                 for v, w in zip(verts, found):
                     mapping[v] = verts_h[w]
@@ -501,26 +514,35 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, tuple(mapping)
 
 
-def _search_mapping(g: Graph, h: Graph, nbrs_g, nbrs_h, cg: list[int], ch: list[int],
-                    budget: Budget) -> Optional[tuple[int, ...]]:
-    # One node of the individualisation tree: refine the colourings jointly,
-    # then branch.  A module-level function rather than a nested one, so a
+def _search_mapping(g: Graph, h: Graph, path: list[tuple], depth: int, nbrs_h,
+                    ch: list[int], budget: Budget) -> Optional[tuple[int, ...]]:
+    # One node of the individualisation tree, at ``depth`` of g's path:
+    # refine h's colouring by g's rounds, then branch.  A key of h missing
+    # from g's table, or a colour class of another size, means no isomorphism
+    # respects the colourings given.  Module-level rather than nested, so a
     # search leaves no reference cycle behind for the garbage collector.
-    refined = _joint_refine(nbrs_g, nbrs_h, cg, ch)
-    if refined is None:
-        return None
-    cg, ch = refined
-    cell = _target_cell(cg)
+    rounds, cg, cell, fresh = path[depth]
+    for table, sorted_cg in rounds:
+        try:
+            ch = [table[(ch[v], tuple(sorted([ch[u] for u in nb])))]
+                  for v, nb in enumerate(nbrs_h)]
+        except KeyError:
+            return None
+        if sorted(ch) != sorted_cg:
+            return None
     if cell is None:
         where = {c: w for w, c in enumerate(ch)}
         mapping = tuple([where[c] for c in cg])
-        return mapping if relabel(g, mapping).adj == h.adj else None
-    v, color, fresh = cell[0], cg[cell[0]], max(cg) + 1
+        for v, row in enumerate(g.adj):
+            if mask_from([mapping[u] for u in bits(row)]) != h.adj[mapping[v]]:
+                return None
+        return mapping
+    color = cg[cell[0]]
     for w in (w for w, c in enumerate(ch) if c == color):
         budget.spend()
-        cg2, ch2 = cg[:], ch[:]
-        cg2[v] = ch2[w] = fresh
-        found = _search_mapping(g, h, nbrs_g, nbrs_h, cg2, ch2, budget)
+        ch2 = ch[:]
+        ch2[w] = fresh
+        found = _search_mapping(g, h, path, depth + 1, nbrs_h, ch2, budget)
         if found is not None:
             return found
     return None
@@ -531,18 +553,19 @@ def automorphism_group(g: Graph) -> list[bytes]:
 
     A graph and its complement have the same automorphisms, so the sparser
     of the two is searched.  Generators come from one path of the
-    individualisation tree: refine g against itself from its degrees,
-    individualise the first vertex of the target cell, and repeat until the
-    colouring is discrete.  With v_i the vertex
-    individualised at level i, the automorphisms that fix v_1..v_{i-1}
-    form a chain of stabilisers that ends in the identity.  Levels are
-    taken deepest first; at level i every vertex w of the target cell that
-    the generators found so far (all of which fix v_1..v_{i-1}) do not
-    already carry v_i to is tried by one isomorphism search of g onto
-    itself, with v_i individualised on one side and w on the other.  Each
-    mapping found is checked with ``relabel``.  The orbit sizes multiply to
-    the group's order, and the generators are closed under composition
-    into the full list, with the identity first.
+    individualisation tree: refine g from its degrees, individualise the
+    first vertex of the target cell, and repeat until the colouring is
+    discrete.  With v_i the vertex individualised at level i, the
+    automorphisms that fix v_1..v_{i-1} form a chain of stabilisers that
+    ends in the identity.  Levels are taken deepest first; at level i every
+    vertex w of the target cell that the generators found so far (all of
+    which fix v_1..v_{i-1}) do not already carry v_i to is tried by one
+    isomorphism search of g onto itself, with v_i individualised on one
+    side and w on the other; the searches replay this one path's
+    refinements on the side of w.  Each mapping found is checked row by
+    row.  The orbit sizes multiply to the group's order, and the
+    generators are closed under composition into the full list, with the
+    identity first.
 
     The answer is never an approximation.  When the order exceeds
     ``AUT_GROUP_CAP``, or the generator search spends more than its own
@@ -554,29 +577,21 @@ def automorphism_group(g: Graph) -> list[bytes]:
     if 4 * g.m > n * (n - 1):  # g and its complement, the sparser, share a group
         g = complement(g)
     nbrs = _neighbour_lists(g)
-    colouring = [row.bit_count() for row in g.adj]
-    levels = []  # (the equitable colouring, its target cell, a fresh colour)
-    while True:
-        colouring = _joint_refine(nbrs, nbrs, colouring, colouring)[0]
-        cell = _target_cell(colouring)
-        if cell is None:
-            break
-        levels.append((colouring, cell, max(colouring) + 1))
-        colouring = colouring[:]
-        colouring[cell[0]] = levels[-1][2]
+    path = _path(nbrs, [row.bit_count() for row in g.adj])
     budget = Budget(ISO_NODE_CAP)
     gens: list[bytes] = []
     order = 1
     try:
-        for colouring, cell, fresh in reversed(levels):
+        for depth in reversed(range(len(path) - 1)):
+            _rounds, colouring, cell, fresh = path[depth]
             v = cell[0]
             orbit = _orbit(v, gens)
             for w in cell:
                 if w in orbit:
                     continue
-                cg, ch = colouring[:], colouring[:]
-                cg[v] = ch[w] = fresh
-                found = _search_mapping(g, g, nbrs, nbrs, cg, ch, budget)
+                ch = colouring[:]
+                ch[w] = fresh
+                found = _search_mapping(g, g, path, depth + 1, nbrs, ch, budget)
                 if found is not None:
                     gens.append(bytes(found))
                     orbit = _orbit(v, gens)

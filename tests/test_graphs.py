@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -240,6 +241,18 @@ def test_isomorphism_relabel_invariance():
                         mapping[u], mapping[v])
 
 
+def test_relabel_rejects_a_non_permutation():
+    with pytest.raises(GraphError, match="permutation"):
+        relabel(empty(3), (1, 1, 0))
+    with pytest.raises(GraphError, match="permutation"):
+        relabel(path(3), (0, 1, 5))
+    with pytest.raises(GraphError, match="permutation"):
+        relabel(path(3), (0, 0, 1))
+    with pytest.raises(GraphError, match="permutation"):
+        relabel(path(3), (0, 1))
+    assert relabel(path(3), (2, 0, 1)).edges() == [(0, 1), (0, 2)]
+
+
 def test_isomorphism_c6_vs_two_triangles():
     iso, _ = is_isomorphic(cycle(6), disjoint_union(cycle(3), cycle(3)))
     assert not iso
@@ -452,6 +465,52 @@ def test_isomorphism_matches_components_of_the_same_shape(monkeypatch):
     _assert_checked(g, h, iso, mapping)
 
 
+def _pinned_iso_pairs():
+    rng = random.Random(73)
+    pairs = []
+    for _ in range(24):  # relabelled random graphs, sparse to dense
+        g = random_graph(rng, rng.randint(1, 30), rng.choice((0.1, 0.3, 0.5, 0.8)))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        pairs.append((g, relabel(g, tuple(perm))))
+    for n, k in ((12, 3), (16, 4), (20, 3), (18, 5)):
+        g = random_regular_graph(rng, n, k)
+        pairs.append((g, random_regular_graph(rng, n, k)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        twice = disjoint_union(g, g)
+        pairs.append((twice, relabel(twice, tuple(perm + [v + n for v in range(n)]))))
+    pairs += [(pair.g, pair.g_prime) for pair in map(regular_construction, (2, 3, 4))]
+    pairs += [(grid_lattice(4), shrikhande()), (fig1_left(), fig1_right())]
+    return pairs
+
+
+def test_isomorphism_results_are_pinned():
+    # one digest over the verdicts and mappings of 37 pairs, 28 of them
+    # isomorphic: a change to the search that must not change its answers
+    # returns the same mapping, not just some isomorphism
+    digest = hashlib.sha256()
+    for g, h in _pinned_iso_pairs():
+        digest.update(repr(is_isomorphic(g, h)).encode())
+    assert digest.hexdigest() == \
+        "93466f2ee0bb0bc46141c41dcb63e2d844d2d8dbf3ba9ddbfc1dd75bd27dd7f5"
+
+
+def test_isomorphism_spends_exactly_its_pinned_nodes(monkeypatch):
+    # refinement cannot tell the rook's graph from Shrikhande, so the rook's
+    # graph is searched against the other side's Shrikhande component to
+    # exhaustion before it meets its own copy: 120 nodes in all
+    both = disjoint_union(grid_lattice(4), shrikhande())
+    swapped = relabel(both, tuple((v + 16) % 32 for v in range(32)))
+    monkeypatch.setattr(graphs, "ISO_NODE_CAP", 119)
+    with pytest.raises(BudgetExceededError) as info:
+        is_isomorphic(both, swapped)
+    assert "order 16" in str(info.value) and "120 steps" in str(info.value)
+    monkeypatch.setattr(graphs, "ISO_NODE_CAP", 120)
+    iso, mapping = is_isomorphic(both, swapped)
+    assert iso and relabel(both, mapping) == swapped
+
+
 Q3 = cartesian(complete(2), cartesian(complete(2), complete(2)))
 
 
@@ -519,6 +578,22 @@ def test_automorphism_group_orders():
         group = automorphism_group(g)
         assert len(group) == order, name
         _assert_group(g, group)
+
+
+def test_automorphism_groups_are_pinned():
+    # one digest over the full lists, order included, so the generators and
+    # their closure are the same element for element, not just the same group
+    rng = random.Random(71)
+    fixtures = [empty(0), empty(1), PETERSEN, grid_lattice(4), shrikhande(), fig1_left(),
+                iterated_join(fig1_left(), 1), cartesian(cycle(6), cycle(6))]
+    fixtures += [random_graph(rng, rng.randint(2, 24), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+                 for _ in range(24)]
+    fixtures += [random_regular_graph(rng, n, k) for n, k in ((12, 3), (16, 4), (20, 3), (24, 5))]
+    digest = hashlib.sha256()
+    for g in fixtures:
+        digest.update(repr(automorphism_group(g)).encode())
+    assert digest.hexdigest() == \
+        "1086df025404167d06c6490cd1c220d5f18e9edc1dd790b48c9b23ed51d48f5b"
 
 
 def test_automorphism_group_falls_back_to_the_identity(monkeypatch):
