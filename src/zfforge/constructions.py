@@ -24,16 +24,15 @@ forcing behaviour while preserving a spectrum:
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import graphs
-from .graphs import (Graph, bits, cartesian, complete, cycle, disjoint_union,
+from .graphs import (Graph, Record, bits, cartesian, complete, cycle, disjoint_union,
                      emit_graph6, fig1_left, fig1_right, is_connected,
                      is_isomorphic, join, mask_from, path)
 from .forcing import Rule, zero_forcing_number
 from .spectra import MatrixKind, cospectral
-from .skew_rank import SkewWitness, max_nullity_witness_search
+from .skew_rank import max_nullity_witness_search
 
 
 class PreconditionError(ValueError):
@@ -48,14 +47,15 @@ class PreconditionError(ValueError):
 # switching partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwitchingPartition:
+class SwitchingPartition(Record):
     """The parts X1..Xl checked against one graph: per-part cross counts,
-    per-outside-vertex counts, and every violated condition."""
+    per-outside-vertex counts, and every violated condition.
 
-    part_counts: tuple[tuple[Optional[int], ...], ...]  # [i][j] = neighbours in part j of a part-i vertex
-    outside_counts: tuple[tuple[int, tuple[int, ...]], ...]  # (vertex, counts per part)
-    issues: tuple[str, ...]
+    ``part_counts[i][j]`` is the number of neighbours in part j of a vertex
+    of part i; ``outside_counts`` holds (vertex, counts per part) pairs.
+    """
+
+    __slots__ = ("part_counts", "outside_counts", "issues")
 
     @property
     def ok(self) -> bool:
@@ -130,7 +130,7 @@ def gm_switch(g: Graph, parts: Sequence[int]) -> Graph:
                     rows[x] &= ~(1 << y)
                 for x in bits(flipped):
                     rows[x] |= 1 << y
-    return Graph(g.n, tuple(rows))
+    return Graph(g.n, rows)
 
 
 def planted_switching_instance(rng: random.Random, n_min: int = 6, n_max: int = 12
@@ -164,24 +164,16 @@ def planted_switching_instance(rng: random.Random, n_min: int = 6, n_max: int = 
 # construction pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expected:
-    name: str
-    value: int
-    tag: str  # "paper" for values carried by the source claims, "derived" otherwise
-
-    def to_json(self) -> dict:
-        return asdict(self)
+class Expected(Record):
+    # tag is "paper" for values carried by the source claims, "derived" otherwise
+    __slots__ = ("name", "value", "tag")
+    to_json = Record._as_dict
 
 
-@dataclass(frozen=True)
-class ConstructionPair:
-    g: Graph
-    g_prime: Graph
-    provenance: str
-    params: tuple[tuple[str, object], ...]
-    expected: tuple[Expected, ...] = ()
-    parts: tuple[int, ...] = ()  # the switching parts g_prime was switched over
+class ConstructionPair(Record):
+    # parts are the switching parts g_prime was switched over
+    __slots__ = ("g", "g_prime", "provenance", "params", "expected", "parts")
+    _defaults = {"expected": (), "parts": ()}
 
     def __post_init__(self) -> None:
         if self.g.n != self.g_prime.n:
@@ -252,16 +244,8 @@ def torus_zero_forcing(s: int, t: int) -> int:
     return 2 * s - 1 if s == t and s % 2 else 2 * s
 
 
-@dataclass(frozen=True)
-class Corollary52Report:
-    c: int
-    order: int
-    z_first: int
-    z_second: int
-    gap: int
-    g1: Optional[Graph]
-    g2: Optional[Graph]
-    skipped: str
+class Corollary52Report(Record):
+    __slots__ = ("c", "order", "z_first", "z_second", "gap", "g1", "g2", "skipped")
 
     def to_json(self) -> dict:
         return {"c": self.c, "order": self.order,
@@ -362,14 +346,8 @@ def regular_construction(k: int) -> ConstructionPair:
 # product and join families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TensorFamilyResult:
-    graph: Graph
-    base: Graph
-    r: int
-    z_minus_base: int
-    witness: SkewWitness
-    expected: tuple[Expected, ...]
+class TensorFamilyResult(Record):
+    __slots__ = ("graph", "base", "r", "z_minus_base", "witness", "expected")
 
     def to_json(self) -> dict:
         return {"graph": emit_graph6(self.graph),
@@ -451,19 +429,10 @@ def shrikhande() -> Graph:
     return gm_switch(graphs.grid_lattice(4), [grid_diagonal_part(4)])
 
 
-@dataclass(frozen=True)
-class GridShrikhandeReport:
-    r: int
-    zplus_grid: int
-    zplus_switched: int
-    adjacency_cospectral: bool
-    isomorphic: bool
-    product_upper_bound: int
-    product_lower_bound: int
-    separation_holds: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
+class GridShrikhandeReport(Record):
+    __slots__ = ("r", "zplus_grid", "zplus_switched", "adjacency_cospectral", "isomorphic",
+                 "product_upper_bound", "product_lower_bound", "separation_holds")
+    to_json = Record._as_dict
 
 
 def grid_shrikhande_report(r: int, zplus_grid: int, zplus_switched: int) -> GridShrikhandeReport:

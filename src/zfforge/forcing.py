@@ -81,10 +81,9 @@ every step the lexicographically least eligible (actor, target) pair fires.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import (Budget, BudgetExceededError, Graph, automorphism_group, bits,
+from .graphs import (Budget, BudgetExceededError, Graph, Record, automorphism_group, bits,
                      components, induced_subgraph, is_connected, join)
 
 VertexSetLike = Union[int, Iterable[int]]
@@ -103,13 +102,10 @@ def rule_from_name(name: str) -> Rule:
         raise ValueError(f"rule must be standard, skew or psd; got {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ForcingCertificate:
+class ForcingCertificate(Record):
     """Replayable trace: initial blue vertices plus ordered (actor, target) forces."""
 
-    rule: Rule
-    initial: tuple[int, ...]
-    forces: tuple[tuple[int, int], ...]
+    __slots__ = ("rule", "initial", "forces")
 
     def to_json(self) -> dict:
         return {"rule": self.rule.value,
@@ -123,8 +119,7 @@ class ForcingCertificate:
                    tuple((a, t) for a, t in data["forces"]))
 
 
-@dataclass(frozen=True)
-class ZfResult:
+class ZfResult(Record):
     """Exact minimum, a replayable witness, and the search steps spent.
 
     The witness replays the union of the components' final incumbents.
@@ -132,9 +127,7 @@ class ZfResult:
     search, summed over components; it is the budget the solve used.
     """
 
-    value: int
-    witness: ForcingCertificate
-    explored: int
+    __slots__ = ("value", "witness", "explored")
 
 
 def _as_mask(initial: VertexSetLike, n: int) -> int:

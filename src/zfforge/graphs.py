@@ -26,7 +26,6 @@ indices, so the ordering is part of the public contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 ORDER_CAP = 64
@@ -88,30 +87,84 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, gives defaults for its last
+    fields in ``_defaults``, and checks a new record in ``__post_init__``.
+    Records of one class with equal fields are equal and hash alike; a field
+    can be neither assigned nor deleted; pickles and copies are rebuilt
+    through the constructor, so the checks run again.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        fields = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or kwargs.keys() & names[:len(args)]
+                or fields.keys() != set(names)):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, fields[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields of a new record; the base accepts any."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._as_dict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _as_dict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+
+class Graph(Record):
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency rows.
 
     Rows are symmetric and irreflexive; both are checked at construction.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= ORDER_CAP:
-            raise OrderCapError(f"order {self.n} outside 0..{ORDER_CAP}")
-        if len(self.adj) != self.n:
-            raise GraphError(f"{len(self.adj)} adjacency rows for order {self.n}")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+    def __init__(self, n: int, adj: Iterable[int]):
+        adj = tuple(adj)
+        if not 0 <= n <= ORDER_CAP:
+            raise OrderCapError(f"order {n} outside 0..{ORDER_CAP}")
+        if len(adj) != n:
+            raise GraphError(f"{len(adj)} adjacency rows for order {n}")
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
-                raise GraphError(f"row {v} has bits beyond vertex {self.n - 1}")
+                raise GraphError(f"row {v} has bits beyond vertex {n - 1}")
             if row >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
             for u in bits(row):
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -155,7 +208,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"edge ({u},{v}) outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +342,7 @@ def tensor(g: Graph, h: Graph) -> Graph:
             for v in bits(g.adj[u]):
                 row |= h.adj[up] << (v * h.n)
             rows.append(row)
-    return Graph(g.n * h.n, tuple(rows))
+    return Graph(g.n * h.n, rows)
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:
@@ -302,7 +355,7 @@ def cartesian(g: Graph, h: Graph) -> Graph:
             for v in bits(g.adj[u]):
                 row |= 1 << (v * h.n + up)
             rows.append(row)
-    return Graph(g.n * h.n, tuple(rows))
+    return Graph(g.n * h.n, rows)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -312,7 +365,7 @@ def join(g: Graph, h: Graph) -> Graph:
     gfull = (1 << g.n) - 1
     rows = [g.adj[u] | hfull for u in range(g.n)]
     rows += [(h.adj[u] << g.n) | gfull for u in range(h.n)]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph(g.n + h.n, rows)
 
 
 def iterated_join(g: Graph, k: int) -> Graph:
@@ -328,12 +381,12 @@ def iterated_join(g: Graph, k: int) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     _check_cap(g.n + h.n, "disjoint union")
     rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph(g.n + h.n, rows)
 
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph(g.n, tuple([(full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)]))
+    return Graph(g.n, [(full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
 def line_graph(g: Graph) -> Graph:
@@ -347,7 +400,7 @@ def line_graph(g: Graph) -> Graph:
             if u1 in (u2, v2) or v1 in (u2, v2):
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
-    return Graph(len(es), tuple(rows))
+    return Graph(len(es), rows)
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
@@ -360,7 +413,7 @@ def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
         for u in bits(g.adj[v]):
             row |= 1 << perm[u]
         rows[perm[v]] = row
-    return Graph(g.n, tuple(rows))
+    return Graph(g.n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +458,7 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
         for u in bits(g.adj[v] & mask):
             row |= 1 << pos[u]
         rows.append(row)
-    return Graph(len(verts), tuple(rows)), verts
+    return Graph(len(verts), rows), verts
 
 
 def is_connected(g: Graph) -> bool:
@@ -681,7 +734,7 @@ def parse_graph6(text: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             pos += 1
-    return Graph(n, tuple(rows))
+    return Graph(n, rows)
 
 
 def emit_edgelist(g: Graph) -> str:

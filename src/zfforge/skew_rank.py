@@ -39,17 +39,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .graphs import Graph, bits, components, induced_subgraph
+from .graphs import Graph, Record, bits, components, induced_subgraph
 
 _ENTRY_CHOICES = (1, -1, 2, -2, 3, -3)
 
 
-@dataclass(frozen=True)
-class SkewWitness:
+class SkewWitness(Record):
     """Entry assignment realising a graph's skew pattern, with its nullity.
 
     ``certified`` records that the search that produced this witness fully
@@ -57,11 +55,8 @@ class SkewWitness:
     searches report False).  The nullity itself is always replayable.
     """
 
-    graph: Graph
-    entries: tuple[tuple[int, int, Fraction], ...]
-    achieved_nullity: int
-    certified: bool
-    seed: Optional[int] = None
+    __slots__ = ("graph", "entries", "achieved_nullity", "certified", "seed")
+    _defaults = {"seed": None}
 
     def entry_map(self) -> dict[tuple[int, int], Fraction]:
         return {(i, j): v for i, j, v in self.entries}

@@ -26,11 +26,10 @@ finder are kept as independent oracles in the test suite
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
 from itertools import repeat
 from operator import add, itemgetter, mul, neg, sub
 
-from .graphs import Graph, bits, join
+from .graphs import Graph, Record, bits, join
 
 
 class MatrixKind(enum.Enum):
@@ -51,13 +50,13 @@ def kind_from_letter(letter: str) -> MatrixKind:
         raise ValueError(f"matrix kind must be one of A, L, Q; got {letter!r}") from None
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """Monic integer characteristic polynomial, coefficients degree-descending."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("characteristic polynomial must be monic")
 
@@ -77,7 +76,7 @@ class CharPoly:
 
     @classmethod
     def from_json(cls, data: list[str]) -> "CharPoly":
-        return cls(tuple(int(c) for c in data))
+        return cls(int(c) for c in data)
 
 
 def _getter(positions: list[int]) -> itemgetter:
@@ -140,7 +139,7 @@ def _berkowitz(g: Graph, kind: MatrixKind) -> list[int]:
 
 def char_poly(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> CharPoly:
     """Exact char poly det(xI - M) for the chosen matrix of g."""
-    return CharPoly(tuple(_berkowitz(g, kind)))
+    return CharPoly(_berkowitz(g, kind))
 
 
 def cospectral(g: Graph, h: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> bool:
@@ -148,8 +147,7 @@ def cospectral(g: Graph, h: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> b
     return char_poly(g, kind) == char_poly(h, kind)
 
 
-@dataclass(frozen=True)
-class RegularCospectralReport:
+class RegularCospectralReport(Record):
     """Cospectrality across matrix kinds for a pair of regular graphs.
 
     For k-regular pairs, adjacency cospectrality carries over to the
@@ -158,15 +156,9 @@ class RegularCospectralReport:
     and flagged as such (no rational arithmetic is done for it).
     """
 
-    regular: bool
-    degree: int | None
-    adjacency_cospectral: bool | None
-    laplacian_verified: bool | None
-    signless_verified: bool | None
-    normalized_laplacian_derived: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
+    __slots__ = ("regular", "degree", "adjacency_cospectral", "laplacian_verified",
+                 "signless_verified", "normalized_laplacian_derived")
+    to_json = Record._as_dict
 
 
 def regular_cospectral_report(g: Graph, h: Graph) -> RegularCospectralReport:

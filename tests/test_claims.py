@@ -1,8 +1,12 @@
+import dataclasses
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import zfforge
 from zfforge import claims
 from zfforge.claims import claim_ids, evaluate_claim, run_claims, summarize
 from zfforge.constructions import join_family, tensor_family
@@ -184,3 +188,23 @@ def test_duplicate_claim_id_is_rejected():
     with pytest.raises(ValueError, match="duplicate claim id fig1.Z.left"):
         claims._claim("fig1.Z.left", "a second fig1.Z.left", "paper", 6, lambda seed: (6, {}))
     assert claims.REGISTRY == before
+
+
+def test_claim_is_the_only_dataclass():
+    # the value classes are plain slotted classes: decorating a dataclass is
+    # most of the cost of importing the package
+    found = set()
+    for info in pkgutil.iter_modules(zfforge.__path__):
+        module = importlib.import_module(f"zfforge.{info.name}")
+        found |= {cls for cls in vars(module).values() if isinstance(cls, type)
+                  and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)}
+    assert found == {claims._Claim}
+
+
+def test_claim_specs_can_be_replaced_field_by_field():
+    # the traced benchmark wraps each claim body with dataclasses.replace
+    spec = claims.REGISTRY["fig1.Z.left"]
+    swapped = dataclasses.replace(spec, fn=lambda seed: (seed, {}))
+    assert (swapped.description, swapped.tag, swapped.expected) == \
+        (spec.description, spec.tag, spec.expected)
+    assert swapped.fn(5) == (5, {}) and spec.fn is not swapped.fn

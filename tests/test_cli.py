@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -206,6 +207,23 @@ def test_verify_paper_json_report(tmp_path, capsys):
     assert ids == sorted(ids)
 
 
+# sha256 of the seed-0 --json report with every claim's wall_time removed,
+# serialised with sorted keys: every other field, certificates included, is
+# a pure function of the seed
+REPORT_SEED0_SHA256 = "e5074407e007e52869b93d7b323834de2720188264462053869cbcc9919dee37"
+
+
+def test_verify_paper_json_report_is_pinned(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code, _out, _ = run(capsys, "verify-paper", "--seed", "0", "--json", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    for report in payload["claims"]:
+        del report["wall_time"]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_SEED0_SHA256
+
+
 def test_verify_paper_no_match_is_usage_error(capsys):
     code, _out, err = run(capsys, "verify-paper", "--only", "nonexistent")
     assert code == 2 and "no claims match" in err
@@ -251,6 +269,19 @@ def test_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_passing_run_loads_no_traceback():
+    # claims formats a traceback only for a claim that raises
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import contextlib, io, sys\n"
+             "from zfforge import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['verify-paper', '--only', 'fig1'])\n"
+             "print(code, sorted({'traceback', 'textwrap'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_load_graph_formats(tmp_path):
