@@ -120,17 +120,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_format(p)
 
     p = sub.add_parser("construct", help="build a shipped construction pair")
-    p.add_argument("family", choices=["theorem51", "regular6k", "tensor-family",
-                                      "join-family", "corollary52"])
-    p.add_argument("--g1")
-    p.add_argument("--g2")
-    p.add_argument("--base")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    _add_input_format(p)
+    families = p.add_subparsers(dest="family", required=True)
+    f = families.add_parser("theorem51")
+    f.add_argument("--g1")
+    f.add_argument("--g2")
+    f.add_argument("--m", type=int)
+    _add_input_format(f)
+    families.add_parser("regular6k").add_argument("--k", type=int, required=True)
+    f = families.add_parser("tensor-family")
+    f.add_argument("--base", required=True)
+    f.add_argument("--r", type=int, required=True)
+    f.add_argument("--seed", type=int, default=0)
+    _add_input_format(f)
+    f = families.add_parser("join-family")
+    f.add_argument("--g1", required=True)
+    f.add_argument("--g2", required=True)
+    f.add_argument("--r", type=int, required=True)
+    _add_input_format(f)
+    families.add_parser("corollary52").add_argument("--c", type=int, required=True)
 
     p = sub.add_parser("skew-nullity", help="maximum-nullity witness search")
     p.add_argument("input")
@@ -219,30 +226,20 @@ def _cmd_gm_switch(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    fam = args.family
-    if fam == "theorem51":
+    if args.family == "theorem51":
         g1 = load_graph(args.g1, args.format) if args.g1 else None
         g2 = load_graph(args.g2, args.format) if args.g2 else None
-        payload = cons.theorem51_build(g1, g2, args.m).to_json()
-    elif fam == "regular6k":
-        if args.k is None:
-            raise ValueError("regular6k needs --k")
-        payload = cons.regular_construction(args.k).to_json()
-    elif fam == "tensor-family":
-        if args.base is None or args.r is None:
-            raise ValueError("tensor-family needs --base and --r")
-        base = load_graph(args.base, args.format)
-        payload = cons.tensor_family(base, args.r, seed=args.seed).to_json()
-    elif fam == "join-family":
-        if args.g1 is None or args.g2 is None or args.r is None:
-            raise ValueError("join-family needs --g1, --g2 and --r")
-        payload = cons.join_family(load_graph(args.g1, args.format),
-                                   load_graph(args.g2, args.format), args.r).to_json()
+        pair = cons.theorem51_build(g1, g2, args.m)
+    elif args.family == "regular6k":
+        pair = cons.regular_construction(args.k)
+    elif args.family == "tensor-family":
+        pair = cons.tensor_family(load_graph(args.base, args.format), args.r, seed=args.seed)
+    elif args.family == "join-family":
+        pair = cons.join_family(load_graph(args.g1, args.format),
+                                load_graph(args.g2, args.format), args.r)
     else:
-        if args.c is None:
-            raise ValueError("corollary52 needs --c")
-        payload = cons.corollary52_family(args.c).to_json()
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        pair = cons.corollary52_family(args.c)
+    print(json.dumps(pair.to_json(), indent=2, sort_keys=True))
     return 0
 
 

@@ -57,6 +57,12 @@ class SwitchingPartition(Record):
 
     __slots__ = ("part_counts", "outside_counts", "issues")
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "part_counts", tuple(map(tuple, self.part_counts)))
+        object.__setattr__(self, "outside_counts",
+                           tuple((v, tuple(counts)) for v, counts in self.outside_counts))
+        object.__setattr__(self, "issues", tuple(self.issues))
+
     @property
     def ok(self) -> bool:
         return not self.issues
@@ -94,7 +100,7 @@ def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
             if len(counts) > 1:
                 issues.append(f"part {i} vertices disagree on neighbours in part {j}")
             row.append(counts.pop() if len(counts) == 1 else None)
-        part_counts.append(tuple(row))
+        part_counts.append(row)
 
     outside = []
     for y in bits(g.full_mask & ~union):
@@ -105,7 +111,7 @@ def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
             if c not in (0, size) and 2 * c != size:
                 issues.append(f"vertex {y} has {c} neighbours in part {j} of size {size}")
 
-    return SwitchingPartition(tuple(part_counts), tuple(outside), tuple(issues))
+    return SwitchingPartition(part_counts, outside, issues)
 
 
 def gm_switch(g: Graph, parts: Sequence[int]) -> Graph:
@@ -176,6 +182,9 @@ class ConstructionPair(Record):
     _defaults = {"expected": (), "parts": ()}
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "params", tuple(dict(self.params).items()))
+        object.__setattr__(self, "expected", tuple(self.expected))
+        object.__setattr__(self, "parts", tuple(self.parts))
         if self.g.n != self.g_prime.n:
             raise ValueError("construction pairs must have equal order")
 

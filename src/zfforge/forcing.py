@@ -107,6 +107,10 @@ class ForcingCertificate(Record):
 
     __slots__ = ("rule", "initial", "forces")
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "initial", tuple(self.initial))
+        object.__setattr__(self, "forces", tuple([(a, t) for a, t in self.forces]))
+
     def to_json(self) -> dict:
         return {"rule": self.rule.value,
                 "initial": list(self.initial),
@@ -114,9 +118,7 @@ class ForcingCertificate(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "ForcingCertificate":
-        return cls(Rule(data["rule"]),
-                   tuple(data["initial"]),
-                   tuple((a, t) for a, t in data["forces"]))
+        return cls(Rule(data["rule"]), data["initial"], data["forces"])
 
 
 class ZfResult(Record):
@@ -201,7 +203,7 @@ def closure(g: Graph, rule: Rule, initial: VertexSetLike) -> tuple[int, ForcingC
     blue = _as_mask(initial, g.n)
     forces: list[tuple[int, int]] = []
     final = _close(g.adj, g.full_mask, blue, rule is Rule.SKEW, rule is Rule.PSD, forces)
-    return final, ForcingCertificate(rule, tuple(bits(blue)), tuple(forces))
+    return final, ForcingCertificate(rule, bits(blue), forces)
 
 
 def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: bool = True) -> bool:

@@ -91,7 +91,8 @@ class Record:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``__slots__``, gives defaults for its last
-    fields in ``_defaults``, and checks a new record in ``__post_init__``.
+    fields in ``_defaults``, and checks a new record in ``__post_init__``,
+    where it also stores the sequences it is given as tuples.
     Records of one class with equal fields are equal and hash alike; a field
     can be neither assigned nor deleted; pickles and copies are rebuilt
     through the constructor, so the checks run again.

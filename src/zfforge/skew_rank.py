@@ -47,6 +47,19 @@ from .graphs import Graph, Record, bits, components, induced_subgraph
 _ENTRY_CHOICES = (1, -1, 2, -2, 3, -3)
 
 
+def _draw_entries(rng: random.Random, count: int) -> tuple[int, ...]:
+    """``count`` entries, drawn as ``rng.choice(_ENTRY_CHOICES)`` draws them on
+    CPython 3.10-3.13: 3 random bits, drawn again while they reach 6."""
+    draw = rng.getrandbits
+    values = []
+    for _ in range(count):
+        r = draw(3)
+        while r > 5:
+            r = draw(3)
+        values.append(_ENTRY_CHOICES[r])
+    return tuple(values)
+
+
 class SkewWitness(Record):
     """Entry assignment realising a graph's skew pattern, with its nullity.
 
@@ -57,6 +70,9 @@ class SkewWitness(Record):
 
     __slots__ = ("graph", "entries", "achieved_nullity", "certified", "seed")
     _defaults = {"seed": None}
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple([(i, j, v) for i, j, v in self.entries]))
 
     def entry_map(self) -> dict[tuple[int, int], Fraction]:
         return {(i, j): v for i, j, v in self.entries}
@@ -69,7 +85,7 @@ class SkewWitness(Record):
 
     @classmethod
     def from_json(cls, graph: Graph, data: dict) -> "SkewWitness":
-        entries = tuple((i, j, Fraction(v)) for i, j, v in data["edges"])
+        entries = [(i, j, Fraction(v)) for i, j, v in data["edges"]]
         return cls(graph, entries, data["nullity"], data["certified"], data.get("seed"))
 
 
@@ -218,8 +234,7 @@ def max_nullity_witness_search(g: Graph, *,
         else:
             certified = False
             share = max(remaining // (len(comps) - idx), 1)
-            assignments = (tuple([rng.choice(_ENTRY_CHOICES) for _ in free])
-                           for _ in range(share))
+            assignments = (_draw_entries(rng, len(free)) for _ in range(share))
 
         best_rank = None
         best_values = (1,) * len(free)
@@ -247,7 +262,7 @@ def max_nullity_witness_search(g: Graph, *,
         for (i, j), value in final_map.items():
             merged[(verts[i], verts[j])] = value
 
-    entries = tuple(sorted((i, j, v) for (i, j), v in merged.items()))
+    entries = sorted((i, j, v) for (i, j), v in merged.items())
     witness = SkewWitness(g, entries, g.n - total_rank, certified, seed)
     # replay the merged witness end to end; nullity must match the component sum
     if g.n - exact_rank(witness) != witness.achieved_nullity:

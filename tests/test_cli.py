@@ -142,8 +142,59 @@ def test_construct_corollary52(capsys):
 
 
 def test_construct_missing_params(capsys):
-    code, _out, err = run(capsys, "construct", "regular6k")
-    assert code == 1 and "--k" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "regular6k"])
+    assert exc.value.code == 2
+    assert "required: --k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["corollary52"], "--c"),
+    (["tensor-family", "--r", "3"], "--base"),
+    (["tensor-family", "--base", "ex32_G"], "--r"),
+    (["join-family", "--g2", "fig1_right", "--r", "2"], "--g1"),
+    (["join-family", "--g1", "fig1_left", "--r", "2"], "--g2"),
+    (["join-family", "--g1", "fig1_left", "--g2", "fig1_right"], "--r"),
+])
+def test_construct_names_each_missing_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"required: {flag}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["regular6k", "--k", "2", "--c", "9"],
+    ["regular6k", "--k", "2", "--base", "ex32_G"],
+    ["corollary52", "--c", "3", "--format", "name"],
+    ["theorem51", "--seed", "1"],
+    ["theorem51", "--r", "2"],
+    ["tensor-family", "--base", "ex32_G", "--r", "3", "--m", "4"],
+    ["join-family", "--g1", "fig1_left", "--g2", "fig1_right", "--r", "2", "--seed", "1"],
+])
+def test_construct_rejects_a_flag_its_family_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", *argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+# sha256 of the stdout of each `zfforge construct` example in the README
+@pytest.mark.parametrize("argv, digest", [
+    (["theorem51"], "3aa2be46ef18a93c1fdfe98e4bd68c782d24fbceceadde6f40567dafc2a850d4"),
+    (["regular6k", "--k", "2"],
+     "696aa92ba03a21f668bb451b0e17181f95a6924684adb2709d801273eae778e2"),
+    (["tensor-family", "--base", "ex32_G", "--r", "3"],
+     "a7d0fce533314d2d0725a6bfa9b20ac7cc506dbd9fdd21d30109870de4f3a0be"),
+    (["join-family", "--g1", "fig1_left", "--g2", "fig1_right", "--r", "2"],
+     "19a7ad6b4fa7e46c405693d6ed144a55853a3ff4474ae5a0405d145a7ac4165b"),
+    (["corollary52", "--c", "3"],
+     "1a9978d4e10e9d14a78e4fdee1af5606d06ff9f6b0d17a76c41024c2f24105e6"),
+], ids=["theorem51", "regular6k", "tensor-family", "join-family", "corollary52"])
+def test_construct_readme_examples_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_construct_theorem51_with_explicit_seeds(capsys):

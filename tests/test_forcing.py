@@ -113,6 +113,11 @@ def test_verify_certificate_rejects_forgeries():
     assert not verify_certificate(g, ForcingCertificate(Rule.STANDARD, (0, 1), ((0, 2),)))
     # forcing a vertex that is already blue
     assert not verify_certificate(g, ForcingCertificate(Rule.STANDARD, (0, 1), ((0, 1),)))
+    # an initial vertex, an actor or a target outside the graph
+    for initial, forces in (((0, 3), ((0, 1), (1, 2))), ((0, 1), ((3, 2),)),
+                            ((0, -1), ((0, 1), (1, 2))), ((0,), ((0, 1), (1, 3)))):
+        assert not verify_certificate(g, ForcingCertificate(Rule.STANDARD, initial, forces),
+                                      require_all_blue=False)
     # white actors may force under skew but not under standard
     g2 = path(2)
     skew_ok = ForcingCertificate(Rule.SKEW, (), ((0, 1), (1, 0)))

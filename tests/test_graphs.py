@@ -5,7 +5,7 @@ import pytest
 
 from zfforge.graphs import (AUT_GROUP_CAP, Graph, GraphError, OrderCapError,
                             UnknownGraphError, automorphism_group,
-                            bits, build_named, cartesian, complement, complete,
+                            bits, build_named, cartesian, circulant, complement, complete,
                             complete_bipartite, components, cycle,
                             disjoint_union, emit_edgelist, emit_graph6, empty,
                             ex32_g, ex32_gprime, fig1_left, fig1_right,
@@ -71,6 +71,20 @@ def test_build_named_errors():
 def test_grid_lattice_rook():
     g = grid_lattice(4)
     assert g.n == 16 and g.is_regular() == 6 and g.m == 48
+
+
+def test_generator_argument_errors():
+    with pytest.raises(GraphError, match="offset 5 is 0 mod 5"):
+        circulant(5, [5])
+    with pytest.raises(GraphError, match="s >= 1"):
+        grid_lattice(0)
+    with pytest.raises(GraphError, match="k >= 0"):
+        iterated_join(path(2), -1)
+    rng = random.Random(23)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="no 3-regular graph on 5 vertices"):
+        random_regular_graph(rng, 5, 3)  # odd degree sum
+    assert rng.getstate() == state
 
 
 def test_graph_validation():
@@ -668,6 +682,8 @@ def test_graph6_header_and_errors():
         parse_graph6("A")  # truncated body
     with pytest.raises(OrderCapError):
         parse_graph6("~" + chr(63 + 1) + chr(63) + chr(63))  # order 4096
+    with pytest.raises(GraphError, match="unsupported graph6 size encoding"):
+        parse_graph6("~~??????" + "?" * 4)  # 6-byte order prefix
 
 
 def test_edgelist():

@@ -9,8 +9,9 @@ from zfforge.forcing import Rule, zero_forcing_number
 from zfforge.graphs import (complete, cycle, empty, ex32_g, ex32_gprime, fig1_left,
                             fig1_right, from_edges, path)
 from zfforge.randgraphs import random_graph
-from zfforge.skew_rank import (SkewWitness, _gf2_rank, _int_rank, _parity_rows, _rank_of,
-                               exact_rank, max_nullity_witness_search)
+from zfforge.skew_rank import (_ENTRY_CHOICES, SkewWitness, _draw_entries, _gf2_rank,
+                               _int_rank, _parity_rows, _rank_of, exact_rank,
+                               max_nullity_witness_search)
 
 
 def _witness(g, entries):
@@ -193,6 +194,16 @@ def test_parity_filter_returns_the_unfiltered_witness():
         for seed in (0, 1, 1009):
             assert (max_nullity_witness_search(g, seed=seed).to_json()
                     == unfiltered_witness_search(g, seed=seed).to_json())
+
+
+def test_entry_draws_match_random_choice():
+    # every seeded witness depends on drawing exactly what rng.choice draws
+    for seed in range(64):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 6, 29, 200):
+            assert _draw_entries(ours, count) == tuple(
+                ref.choice(_ENTRY_CHOICES) for _ in range(count))
+        assert ours.getstate() == ref.getstate()
 
 
 def test_gf2_rank_matches_list_elimination():

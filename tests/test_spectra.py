@@ -47,6 +47,7 @@ def test_charpoly_trace_and_edge_coefficients():
     corpus = [fig1_left(), fig1_right(), ex32_g(), ex32_gprime(), grid_lattice(4),
               cycle(7), path(5), complete_bipartite(2, 3)]
     for g in corpus:
+        assert char_poly(g).degree == g.n
         adj = char_poly(g, MatrixKind.ADJACENCY).coeffs
         assert adj[1] == 0
         assert adj[2] == -g.m

@@ -131,6 +131,42 @@ def test_bad_constructor_arguments_raise_type_error(args, kwargs):
         Expected(*args, **kwargs)
 
 
+# fields given as lists, nested ones included, for each class that holds sequences
+AS_LISTS = [
+    (ForcingCertificate, {"rule": Rule.STANDARD, "initial": [0], "forces": [[0, 1], [1, 2]]}),
+    (SkewWitness, {"graph": path(3), "entries": [[0, 1, Fraction(1)], [1, 2, Fraction(-2)]],
+                   "achieved_nullity": 1, "certified": True, "seed": None}),
+    (SwitchingPartition, {"part_counts": [[1, None], [0, 2]], "outside_counts": [[3, [2, 0]]],
+                          "issues": ["part 0 is empty"]}),
+    (ConstructionPair, {"g": path(3), "g_prime": path(3), "provenance": "test",
+                        "params": [["m", 1], ["n", 3]], "expected": [Expected(**_EXPECTED)],
+                        "parts": [0b11]}),
+]
+
+
+def _as_tuples(value):
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
+
+
+def _scramble(value):
+    if isinstance(value, list):
+        for item in value:
+            _scramble(item)
+        value.append(None)
+
+
+@pytest.mark.parametrize("cls, fields", AS_LISTS, ids=[cls.__name__ for cls, _ in AS_LISTS])
+def test_lists_are_stored_as_tuples(cls, fields):
+    fields = copy.deepcopy(fields)
+    value = cls(**fields)
+    twin = cls(**{name: _as_tuples(v) for name, v in fields.items()})
+    assert value == twin and hash(value) == hash(twin)
+    for v in fields.values():
+        _scramble(v)
+    assert value == twin and hash(value) == hash(twin)
+    assert all(type(getattr(value, name)) is not list for name in fields)
+
+
 def test_constructor_defaults():
     pair = ConstructionPair(path(3), path(3), "test", ())
     assert pair.expected == () and pair.parts == ()
