@@ -17,34 +17,39 @@ The rules share one force condition, written once in ``_close``: they differ
 only in who may act (the blue vertices, or every vertex under skew) and in
 which white set the exactly-one test looks at (all white vertices, or the
 target's white component under psd).  The fort search and the certificate
-closure both call it.
+closure both call it.  It reads the graph from chunk tables, built once per
+component solve and once per ``closure`` call: for every run of 8 vertices
+and every subset of the run, the OR of the subset's rows and the set of
+vertices with two or more neighbours in it, so a pass folds one entry per
+run instead of one row per white vertex.
 
 The solver takes each connected component as a graph of its own
-(``graphs.induced_subgraph``) and sums the component minima (all three
-parameters are additive over components; in particular an isolated vertex
-always costs 1, since no rule lets anything force a vertex with no
-neighbours).  A fort is the complement of a proper closed set, and a
-set forces everything exactly when it meets every fort, so each component
-minimum is a minimum hitting set of its forts (the fort cover of Brimkov,
-Fast and Hicks, EJOR 2019).  Forts are generated lazily: a set that fails to
-close is grown, one vertex at a time while it stays proper, into a maximal
-closed set whose complement is a minimal fort.  A vertex whose addition
-closes everything is essential to that growth: the closed set only grows
-and every rule's closure is monotone, so a later closure that turns an
-essential vertex blue ends full, and it stops there (``_close``'s
+(``graphs.induced_subgraph``, or g itself when it is connected) and sums the
+component minima (all three parameters are additive over components; in
+particular an isolated vertex always costs 1, since no rule lets anything
+force a vertex with no neighbours).  A fort is the complement of a proper
+closed set, and a set forces everything exactly when it meets every fort, so
+each component minimum is a minimum hitting set of its forts (the fort cover
+of Brimkov, Fast and Hicks, EJOR 2019).  Forts are generated lazily: a set
+that fails to close is grown, one vertex at a time while it stays proper,
+into a maximal closed set whose complement is a minimal fort.  A vertex
+whose addition closes everything is essential to that growth: the closed set
+only grows and every rule's closure is monotone, so a later closure that
+turns an essential vertex blue ends full, and it stops there (``_close``'s
 ``stop``).  One depth-first branch and bound finds the minimum: the
 incumbent, the smallest forcing set found so far, starts as the whole
 component, and a node may pick only as many more vertices as keep its set
 below the incumbent.  A node branches on the unhit fort with the fewest
 allowed vertices, bans each vertex once tried, and runs the real closure at
-every leaf; a leaf that closes becomes the incumbent.  On the last pick
-only a vertex in every unhit fort can give a forcing set, so a node with
-one pick left tries only those, and bans the others untried, as it would
-after a child that failed.  The search stops early when the incumbent meets the proven
-lower bound in the component's minimum degree delta: Z >= delta,
-Z_plus >= treewidth >= delta and Z_minus >= delta - 1.  Otherwise it ends
-only when no smaller set survives, so every value is decided by exhaustive
-proof, and the proof that nothing of size Z - 1 forces is made once.
+every leaf; a leaf that closes becomes the incumbent.  On the last pick only
+a vertex in every unhit fort can give a forcing set, so a node with one pick
+left tries only those, returns at once if none is left unbanned, and bans
+the others untried, as it would after a child that failed.  The search stops
+early when the incumbent meets the proven lower bound in the component's
+minimum degree delta: Z >= delta, Z_plus >= treewidth >= delta and
+Z_minus >= delta - 1.  Otherwise it ends only when no smaller set survives,
+so every value is decided by exhaustive proof, and the proof that nothing of
+size Z - 1 forces is made once.
 
 The branching is orbital (Ostrowski, Linderoth, Rossi and Smriglio,
 "Orbital branching", Math. Prog. 2011).  Each node carries a group of
@@ -53,7 +58,13 @@ map its banned set onto itself.  The root's is the component's whole group
 (``graphs.automorphism_group``); the child that adds v gets the elements of
 its parent's group that fix v.  Once the child on v has failed, the node
 bans v's whole orbit under its group, not v alone, and skips vertices that
-are already banned.  This is sound because an automorphism p carries
+are already banned.  The group is listed on demand: a node keeps the
+vertices it bans in a pending list and bans their orbits just before it
+tries its next child, and only then is the component's group listed (once
+per component) and cut down to the pointwise stabiliser of the chosen
+vertices, which is the node's group while nothing above it has banned.  A
+solve that meets its bound on the first dive, or whose bans no later child
+sees, lists no group.  This is sound because an automorphism p carries
 forcing sets to forcing sets of the same size: a forcing set S that holds
 the node's chosen vertices, avoids its banned set and contains p(v) gives
 the forcing set p^-1(S), which still holds the chosen vertices (p fixes
@@ -148,48 +159,82 @@ def _as_mask(initial: VertexSetLike, n: int) -> int:
 # the force condition, written once for all three rules
 # ---------------------------------------------------------------------------
 
-def _close(adj, full, blue, skew, psd, trace=None, stop=0):
-    """Closure of ``blue`` in the graph with rows ``adj`` and vertex mask ``full``.
+_CHUNK = 8  # vertices per chunk table: two lists of 256 entries each
+_LOW = (1 << _CHUNK) - 1
+
+
+def _chunk_tables(adj) -> list[tuple[list[int], list[int]]]:
+    """Per run of ``_CHUNK`` vertices, ``(ors, twice)`` indexed by every subset
+    b of the run: ``ors[b]`` is the OR of the rows of b, ``twice[b]`` the
+    vertices with at least two neighbours in b.  Each run is built by
+    doubling over its rows."""
+    tables = []
+    for start in range(0, len(adj), _CHUNK):
+        ors, twice = [0], [0]
+        for row in adj[start:start + _CHUNK]:
+            twice += [t | o & row for t, o in zip(twice, ors)]
+            ors += [o | row for o in ors]
+        tables.append((ors, twice))
+    return tables
+
+
+def _close(tables, full, blue, skew, psd, trace=None, stop=0):
+    """Closure of ``blue`` in the graph with chunk tables ``tables`` (see
+    ``_chunk_tables``) and vertex mask ``full``.
 
     A pass takes the white regions in turn: all white vertices, or under psd
-    each white component, grown by the same loop that ORs the region's rows
-    into ``once`` (the vertices with a neighbour in the region) and ``twice``
-    (those with two or more).  The actors are ``once & ~twice``, only blue
-    ones unless skew, and each forces its one neighbour in the region.  A
-    force legal at the start of a pass stays legal as white shrinks (psd
-    components only split), so a pass fires them all; a pass that fires
-    nothing ends the closure.  With a ``trace`` list a pass fires only the
-    lexicographically least (actor, target) pair, and appends it.  A pass
-    that turns a vertex of ``stop`` blue returns ``full`` at once: the
+    each white component, grown one breadth-first layer at a time.  Folding
+    a region's chunk entries gives ``once`` (the vertices with a neighbour in
+    the region) and ``twice`` (those with two or more).  The actors are
+    ``once & ~twice``, only blue ones unless skew, and each forces its one
+    neighbour in the region: the OR of the actors' entries, ANDed with the
+    region, is every target at once.  A force legal at the start of a pass
+    stays legal as white shrinks (psd components only split), so a pass
+    fires them all; a pass that fires nothing ends the closure.  With a
+    ``trace`` list a pass fires only the lexicographically least (actor,
+    target) pair, and appends it; an actor's row is its one-vertex entry.
+    A pass that turns a vertex of ``stop`` blue returns ``full`` at once: the
     caller's promise that such a closure ends full.
     """
+    pairs = []
     while True:
         rest = full & ~blue
-        newly, pairs = 0, []
+        newly = 0
         while rest:
-            region = rest & -rest if psd else rest
-            todo, once, twice = region, 0, 0
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                row = adj[low.bit_length() - 1]
-                twice |= once & row
-                once |= row
-                if psd:
-                    grow = row & rest & ~region
-                    region |= grow
-                    todo |= grow
+            region = todo = rest & -rest if psd else rest
+            once = twice = 0
+            while True:
+                for ors, tw in tables:
+                    b = todo & _LOW
+                    if b:
+                        o = ors[b]
+                        twice |= tw[b] | once & o
+                        once |= o
+                    todo >>= _CHUNK
+                    if not todo:
+                        break
+                if not psd:
+                    break
+                todo = once & rest & ~region  # the component's next layer
+                if not todo:
+                    break
+                region |= todo
             rest &= ~region
             actors = once & ~twice if skew else once & ~twice & blue
-            while actors:
-                low = actors & -actors
-                actors ^= low
-                target = adj[low.bit_length() - 1] & region
-                newly |= target
-                if trace is not None:
-                    pairs.append((low.bit_length() - 1, target.bit_length() - 1))
+            if not actors:
+                continue
+            if trace is not None:
+                for a in bits(actors):
+                    row = tables[a // _CHUNK][0][1 << a % _CHUNK]
+                    pairs.append((a, (row & region).bit_length() - 1))
+            for ors, _tw in tables:
+                newly |= ors[actors & _LOW] & region
+                actors >>= _CHUNK
+                if not actors:
+                    break
         if pairs:
             trace.append(min(pairs))
+            pairs.clear()
             newly = 1 << trace[-1][1]
         if not newly:
             return blue
@@ -202,7 +247,8 @@ def closure(g: Graph, rule: Rule, initial: VertexSetLike) -> tuple[int, ForcingC
     """Closure of the initial set, with a deterministic force-by-force trace."""
     blue = _as_mask(initial, g.n)
     forces: list[tuple[int, int]] = []
-    final = _close(g.adj, g.full_mask, blue, rule is Rule.SKEW, rule is Rule.PSD, forces)
+    final = _close(_chunk_tables(g.adj), g.full_mask, blue, rule is Rule.SKEW,
+                   rule is Rule.PSD, forces)
     return final, ForcingCertificate(rule, bits(blue), forces)
 
 
@@ -258,11 +304,12 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
     of lazily generated forts, branching on automorphism orbits (see the
     module docstring); returns its mask."""
     budget.what = f"{rule.value} search on a component of order {g.n}"
-    adj, comp = g.adj, g.full_mask
+    tables, comp = _chunk_tables(g.adj), g.full_mask
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
     bound = _lower_bound(g, rule)
     forts: list[int] = []
     best = comp  # the incumbent: the smallest forcing set found so far
+    whole = None  # g's automorphism group, listed when a ban first needs it
 
     def minimal_fort(closed: int) -> int:
         # grow the proper closed set to a maximal one; its complement is a
@@ -275,7 +322,7 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
             if closed & low:
                 continue
             budget.spend()
-            grown = _close(adj, comp, closed | low, skew, psd, stop=essential)
+            grown = _close(tables, comp, closed | low, skew, psd, stop=essential)
             if grown == comp:
                 essential |= low
             else:
@@ -283,20 +330,21 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
         return comp & ~closed
 
     def search(chosen: int, depth: int, banned: int, unhit: list[int],
-               group: list[bytes]) -> bool:
+               group: list[bytes] | None) -> bool:
         # unhit: the known forts that miss chosen.  Every fort found below
         # this node misses chosen too, so it is appended here on the way back.
         # group: automorphisms of the component that fix chosen pointwise
-        # and map banned onto itself.  Returns True once the incumbent meets
-        # the lower bound.
-        nonlocal best
+        # and map banned onto itself; None while not listed, and then banned
+        # is empty and the group is all of chosen's pointwise stabiliser.
+        # Returns True once the incumbent meets the lower bound.
+        nonlocal best, whole
         left = best.bit_count() - 1 - depth  # picks that stay below the incumbent
         if left < 0:
             return False
         budget.spend()
         if not unhit:
             budget.spend()
-            closed = _close(adj, comp, chosen, skew, psd)
+            closed = _close(tables, comp, chosen, skew, psd)
             if closed == comp:
                 best = chosen
                 return depth == bound
@@ -304,24 +352,41 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
             unhit.append(forts[-1])
         if left == 0:
             return False
-        symmetric = len(group) > 1  # else the identity alone, its own stabiliser
+        symmetric = group is None or len(group) > 1  # else the identity alone
         common = comp  # on the last pick: the vertices in every unhit fort
         if left == 1:
             for f in unhit:
                 common &= f
+            if not common & ~banned:
+                return False
         if left == 1 and not symmetric:
             allowed = common & ~banned
         else:
-            allowed = min((f & ~banned for f in unhit), key=int.bit_count)
-        if not allowed:
-            return False
+            allowed = min([f & ~banned for f in unhit], key=int.bit_count)
+            if not allowed:
+                return False
+        pending = []  # vertices banned here whose orbits are not banned yet
         for v in bits(allowed):
             low = 1 << v
             if banned & low:  # in the orbit of a vertex already tried
                 continue
             if common & low:  # else a last pick that misses a fort: banned untried
+                if pending:  # ban their orbits before the next child
+                    if group is None:
+                        if whole is None:
+                            whole = automorphism_group(g)
+                        group = whole
+                        for u in bits(chosen):  # chosen's pointwise stabiliser
+                            group = [p for p in group if p[u] == u]
+                    for u in pending:
+                        for p in group:
+                            banned |= 1 << p[u]
+                    pending.clear()
+                    if banned & low:
+                        continue
                 known = len(forts)
-                stabiliser = [p for p in group if p[v] == v] if symmetric else group
+                stabiliser = (group if group is None or not symmetric
+                              else [p for p in group if p[v] == v])
                 if search(chosen | low, depth + 1, banned, [f for f in unhit if not f & low],
                           stabiliser):
                     return True
@@ -330,12 +395,11 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
                     for f in forts[known:]:
                         common &= f
             banned |= low
-            if symmetric:  # ban v's whole orbit
-                for p in group:
-                    banned |= 1 << p[v]
+            if symmetric:
+                pending.append(v)
         return False
 
-    search(0, 0, 0, [], automorphism_group(g))
+    search(0, 0, 0, [], None)
     del search  # it refers to itself: free its forts now, not at a later collection
     return best
 
@@ -343,14 +407,17 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
 def zero_forcing_number(g: Graph, rule: Rule, *, budget: int = 10 ** 8) -> ZfResult:
     """Exact minimum forcing-set size with witness certificate.
 
-    Searches each connected component as a graph of its own: the parameter
-    is additive over components.  All components spend from one Budget of
-    ``budget`` search steps, the solver's only limit.
+    Searches each connected component as a graph of its own, and a
+    connected g as itself: the parameter is additive over components.  All
+    components spend from one Budget of ``budget`` search steps, the
+    solver's only limit; a budget below 1 is a ValueError.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     state = Budget(budget)
     initial = 0
     for comp in components(g):
-        sub, verts = induced_subgraph(g, comp)
+        sub, verts = (g, range(g.n)) if comp == g.full_mask else induced_subgraph(g, comp)
         for i in bits(_component_minimum(sub, rule, state)):
             initial |= 1 << verts[i]
 

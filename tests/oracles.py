@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from zfforge.constructions import circulant_h, h_witness_set
-from zfforge.forcing import Rule, _close, closure, zero_forcing_number
+from zfforge.forcing import Rule, _chunk_tables, _close, closure, zero_forcing_number
 from zfforge.graphs import Graph, bits, components, from_edges, induced_subgraph
 from zfforge.skew_rank import (_ENTRY_CHOICES, SkewWitness, _int_rank, _rank_of,
                                _spanning_tree, exact_rank)
@@ -46,9 +46,10 @@ def gosper_minimum(g: Graph, rule) -> int:
     """Brute-force minimum forcing-set size of the whole graph: every subset
     by increasing size until one closes."""
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
+    tables = _chunk_tables(g.adj)
     for k in range(g.n + 1):
         for mask in subsets_of_size(g.n, k):
-            if _close(g.adj, g.full_mask, mask, skew, psd) == g.full_mask:
+            if _close(tables, g.full_mask, mask, skew, psd) == g.full_mask:
                 return k
     raise AssertionError("unreachable: the full vertex set always closes")
 

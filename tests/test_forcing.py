@@ -5,10 +5,10 @@ import random
 import pytest
 
 from zfforge.forcing import (BudgetExceededError, ForcingCertificate, Rule,
-                             closure, rule_from_name,
+                             _chunk_tables, _close, closure, rule_from_name,
                              verify_certificate, zero_forcing_number,
                              zf_join_formula_check)
-from zfforge import graphs
+from zfforge import forcing, graphs
 from zfforge.constructions import shrikhande
 from zfforge.graphs import (automorphism_group, bits, cartesian, circulant, complement,
                             complete, complete_bipartite, components, cycle,
@@ -209,6 +209,13 @@ def test_budget_is_the_only_limit():
     assert "order 36" in str(info.value)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_a_caller_error(budget):
+    # a caller error, raised before any search, not a search out of budget
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        zero_forcing_number(path(2), Rule.STANDARD, budget=budget)
+
+
 def test_budget_error_names_the_component_that_ran_out():
     # the components share one budget: path(3) is solved first, then
     # fig1_left runs out with the budget's eleventh step
@@ -334,12 +341,20 @@ def test_solver_matches_independent_reference():
             assert zero_forcing_number(g, rule).value == _reference_minimum(g, rule)
 
 
-def test_batch_and_stepper_closures_agree():
+def _check_closures_agree(g, rule, s):
     # the fort search's batch passes and the certificate stepper share
     # forcing._close, so each is checked against the set-based oracle,
     # the stepper force by force
-    from zfforge.forcing import _close
+    expected, forces = set_closure(g, rule, bits(s))
+    batch = _close(_chunk_tables(g.adj), g.full_mask, s, rule is Rule.SKEW, rule is Rule.PSD)
+    stepped, cert = closure(g, rule, s)
+    assert batch == stepped == mask_from(expected)
+    assert cert.forces == tuple(forces)
+    assert verify_certificate(g, cert, require_all_blue=False)
+    return stepped
 
+
+def test_batch_and_stepper_closures_agree():
     rng = random.Random(239)
     cases = []
     for _ in range(150):
@@ -351,16 +366,30 @@ def test_batch_and_stepper_closures_agree():
         cases.extend((g, rule, s) for rule in ALL_RULES)
     split_psd = beyond_standard = 0
     for g, rule, s in cases:
-        expected, forces = set_closure(g, rule, bits(s))
-        batch = _close(g.adj, g.full_mask, s, rule is Rule.SKEW, rule is Rule.PSD)
-        stepped, cert = closure(g, rule, s)
-        assert batch == stepped == mask_from(expected)
-        assert cert.forces == tuple(forces)
-        assert verify_certificate(g, cert, require_all_blue=False)
+        stepped = _check_closures_agree(g, rule, s)
         if rule is Rule.PSD and len(mask_components(g.adj, g.full_mask & ~s)) > 1:
             split_psd += 1
             beyond_standard += stepped != closure(g, Rule.STANDARD, s)[0]
     assert split_psd >= 50 and beyond_standard >= 10
+
+
+def test_closures_agree_at_chunk_boundaries():
+    # _close reads its rows from tables over runs of 8 vertices: orders on
+    # both sides of a run's end, sparse enough that psd's white set splits,
+    # with blue sets from a few vertices to most of them
+    rng = random.Random(271)
+    split_psd = beyond_standard = 0
+    for n in (8, 9, 16, 17, 24, 33, 63, 64):
+        for p in (2.5 / n, 4 / n, 0.3):
+            g = random_graph(rng, n, p)
+            for share in (0.1, 0.5, 0.8):
+                s = sum(1 << v for v in range(n) if rng.random() < share)
+                for rule in ALL_RULES:
+                    stepped = _check_closures_agree(g, rule, s)
+                    if rule is Rule.PSD and len(mask_components(g.adj, g.full_mask & ~s)) > 1:
+                        split_psd += 1
+                        beyond_standard += stepped != closure(g, Rule.STANDARD, s)[0]
+    assert split_psd >= 30 and beyond_standard >= 10
 
 
 def _starting_bound(g, rule):
@@ -510,6 +539,44 @@ def test_orbital_branching_keeps_its_pruning():
         assert result.value == value, name
         assert verify_certificate(g, result.witness)
         assert result.explored <= most, (name, result.explored)
+
+
+def test_group_is_listed_only_when_a_ban_needs_it(monkeypatch):
+    # a solve lists its component's automorphism group once, and only when
+    # a node must ban an orbit before it tries another child: C8 and K6
+    # meet their bounds on the first dive and never ban
+    listed = []
+
+    def counted(g):
+        listed.append(g.n)
+        return automorphism_group(g)
+
+    monkeypatch.setattr(forcing, "automorphism_group", counted)
+    cases = [(cycle(8), (Rule.STANDARD,), []), (complete(6), ALL_RULES, []),
+             (PETERSEN, ALL_RULES, [10]), (fig1_left(), ALL_RULES, [10]),
+             (disjoint_union(PETERSEN, PETERSEN), ALL_RULES, [10, 10])]
+    for g, rules, expected in cases:
+        for rule in rules:
+            listed.clear()
+            zero_forcing_number(g, rule)
+            assert listed == expected, (g, rule)
+
+
+def test_a_connected_graph_is_solved_as_itself(monkeypatch):
+    # only a graph with two or more components is cut into induced subgraphs
+    cut = []
+
+    def counted(g, mask):
+        cut.append(mask)
+        return induced_subgraph(g, mask)
+
+    monkeypatch.setattr(forcing, "induced_subgraph", counted)
+    for rule, value in zip(ALL_RULES, (6, 4, 5)):
+        cut.clear()
+        assert zero_forcing_number(fig1_left(), rule).value == value
+        assert cut == []
+        zero_forcing_number(disjoint_union(path(3), cycle(4)), rule)
+        assert cut == [0b111, 0b1111000]
 
 
 def test_search_witnesses_are_pinned():
