@@ -18,10 +18,14 @@ only in who may act (the blue vertices, or every vertex under skew) and in
 which white set the exactly-one test looks at (all white vertices, or the
 target's white component under psd).  The fort search and the certificate
 closure both call it.  It reads the graph from chunk tables, built once per
-component solve and once per ``closure`` call: for every run of 8 vertices
+component solve, whose witness replay reuses them when the graph is its one
+component, and once per other ``closure`` call: for every run of 8 vertices
 and every subset of the run, the OR of the subset's rows and the set of
 vertices with two or more neighbours in it, so a pass folds one entry per
-run instead of one row per white vertex.
+run instead of one row per white vertex.  A psd pass folds the whole white
+set first, as the other rules do: a blue vertex with one white neighbour
+overall has one in that neighbour's component, so every force it finds is a
+psd force, and white is split into components only when it finds none.
 
 The solver takes each connected component as a graph of its own
 (``graphs.induced_subgraph``, or g itself when it is connected) and sums the
@@ -44,7 +48,9 @@ allowed vertices, bans each vertex once tried, and runs the real closure at
 every leaf; a leaf that closes becomes the incumbent.  On the last pick only
 a vertex in every unhit fort can give a forcing set, so a node with one pick
 left tries only those, returns at once if none is left unbanned, and bans
-the others untried, as it would after a child that failed.  The search stops
+the others untried, as it would after a child that failed.  Each such child
+is a leaf, closed by the node itself with the same two steps: its fort list
+would be empty, and a leaf never reads its group.  The search stops
 early when the incumbent meets the proven lower bound in the component's
 minimum degree delta: Z >= delta, Z_plus >= treewidth >= delta and
 Z_minus >= delta - 1.  Otherwise it ends only when no smaller set survives,
@@ -78,11 +84,13 @@ of budget, is replaced by the identity alone, never cut short.
 
 Search effort is metered by one ``graphs.Budget`` per solve, set only by the
 ``budget`` argument: every closure evaluation and every branch node spends
-one step.  The budget is the solver's only limit: no component is refused
-for its order.  The first step past it raises BudgetExceededError naming
-the rule, the component's order and the steps spent, never an
-approximation.  The automorphism group is found with a budget of its own, so
-``ZfResult.explored`` counts fort-search steps only.
+one step.  A component's search counts its steps in a local variable and
+spends them from the Budget when it ends, or at once at the first step past
+the budget, so no step costs a call.  The budget is the solver's only limit:
+no component is refused for its order.  The first step past it raises
+BudgetExceededError naming the rule, the component's order and the steps
+spent, never an approximation.  The automorphism group is found with a
+budget of its own, so ``ZfResult.explored`` counts fort-search steps only.
 Nothing is remembered between solves: every call searches from scratch.
 
 Certificates use a deterministic tie-break so witnesses are byte-stable: at
@@ -182,38 +190,45 @@ def _close(tables, full, blue, skew, psd, trace=None, stop=0):
     """Closure of ``blue`` in the graph with chunk tables ``tables`` (see
     ``_chunk_tables``) and vertex mask ``full``.
 
-    A pass takes the white regions in turn: all white vertices, or under psd
-    each white component, grown one breadth-first layer at a time.  Folding
-    a region's chunk entries gives ``once`` (the vertices with a neighbour in
-    the region) and ``twice`` (those with two or more).  The actors are
-    ``once & ~twice``, only blue ones unless skew, and each forces its one
-    neighbour in the region: the OR of the actors' entries, ANDed with the
-    region, is every target at once.  A force legal at the start of a pass
-    stays legal as white shrinks (psd components only split), so a pass
-    fires them all; a pass that fires nothing ends the closure.  With a
-    ``trace`` list a pass fires only the lexicographically least (actor,
-    target) pair, and appends it; an actor's row is its one-vertex entry.
-    A pass that turns a vertex of ``stop`` blue returns ``full`` at once: the
-    caller's promise that such a closure ends full.
+    A pass folds a white region's chunk entries to get ``once`` (the
+    vertices with a neighbour in the region) and ``twice`` (those with two
+    or more).  The actors are ``once & ~twice``, only blue ones unless skew,
+    and each forces its one neighbour in the region: the OR of the actors'
+    entries, ANDed with the region, is every target at once.  A force legal
+    at the start of a pass stays legal as white shrinks (psd components only
+    split), so a pass fires them all.  A pass's region is the whole white
+    set.  Under psd an actor then has one white neighbour overall, which is
+    also its one neighbour in that neighbour's white component, so each
+    force found is a psd force; a psd pass that fires nothing is repeated
+    over each white component in turn, grown one breadth-first layer at a
+    time.  Any other pass that fires nothing ends the closure.  With a
+    ``trace`` list every psd pass takes the components, a pass fires only
+    the lexicographically least (actor, target) pair, and appends it; an
+    actor's row is its one-vertex entry.  A pass that turns a vertex of
+    ``stop`` blue returns ``full`` at once: the caller's promise that such a
+    closure ends full.
     """
+    width, low = _CHUNK, _LOW
+    traced = psd and trace is not None
+    split = traced  # fold each white component, not the whole white set
     pairs = []
     while True:
         rest = full & ~blue
         newly = 0
         while rest:
-            region = todo = rest & -rest if psd else rest
+            region = todo = rest & -rest if split else rest
             once = twice = 0
             while True:
                 for ors, tw in tables:
-                    b = todo & _LOW
+                    b = todo & low
                     if b:
                         o = ors[b]
                         twice |= tw[b] | once & o
                         once |= o
-                    todo >>= _CHUNK
+                    todo >>= width
                     if not todo:
                         break
-                if not psd:
+                if not split:
                     break
                 todo = once & rest & ~region  # the component's next layer
                 if not todo:
@@ -225,11 +240,11 @@ def _close(tables, full, blue, skew, psd, trace=None, stop=0):
                 continue
             if trace is not None:
                 for a in bits(actors):
-                    row = tables[a // _CHUNK][0][1 << a % _CHUNK]
+                    row = tables[a // width][0][1 << a % width]
                     pairs.append((a, (row & region).bit_length() - 1))
             for ors, _tw in tables:
-                newly |= ors[actors & _LOW] & region
-                actors >>= _CHUNK
+                newly |= ors[actors & low] & region
+                actors >>= width
                 if not actors:
                     break
         if pairs:
@@ -237,18 +252,26 @@ def _close(tables, full, blue, skew, psd, trace=None, stop=0):
             pairs.clear()
             newly = 1 << trace[-1][1]
         if not newly:
-            return blue
+            if split or not psd:
+                return blue
+            split = True
+            continue
         if newly & stop:
             return full
         blue |= newly
+        split = traced
 
 
-def closure(g: Graph, rule: Rule, initial: VertexSetLike) -> tuple[int, ForcingCertificate]:
-    """Closure of the initial set, with a deterministic force-by-force trace."""
+def closure(g: Graph, rule: Rule, initial: VertexSetLike, *,
+            _tables=None) -> tuple[int, ForcingCertificate]:
+    """Closure of the initial set, with a deterministic force-by-force trace.
+
+    ``_tables`` is for the solver's witness replay only: g's chunk tables,
+    already built for its search."""
     blue = _as_mask(initial, g.n)
     forces: list[tuple[int, int]] = []
-    final = _close(_chunk_tables(g.adj), g.full_mask, blue, rule is Rule.SKEW,
-                   rule is Rule.PSD, forces)
+    tables = _chunk_tables(g.adj) if _tables is None else _tables
+    final = _close(tables, g.full_mask, blue, rule is Rule.SKEW, rule is Rule.PSD, forces)
     return final, ForcingCertificate(rule, bits(blue), forces)
 
 
@@ -299,34 +322,41 @@ def _lower_bound(g: Graph, rule: Rule) -> int:
     return max(delta - 1, 0) if rule is Rule.SKEW else delta
 
 
-def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
-    """Minimum forcing set of the connected graph g, as a minimum hitting set
-    of lazily generated forts, branching on automorphism orbits (see the
-    module docstring); returns its mask."""
+def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget) -> int:
+    """Minimum forcing set of the connected graph g with chunk tables
+    ``tables``, as a minimum hitting set of lazily generated forts, branching
+    on automorphism orbits (see the module docstring); returns its mask."""
     budget.what = f"{rule.value} search on a component of order {g.n}"
-    tables, comp = _chunk_tables(g.adj), g.full_mask
+    comp = g.full_mask
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
     bound = _lower_bound(g, rule)
     forts: list[int] = []
     best = comp  # the incumbent: the smallest forcing set found so far
     whole = None  # g's automorphism group, listed when a ban first needs it
+    # steps are counted here and spent from the budget once at the end; the
+    # first step past room brings the budget to limit + 1 at once, and raises
+    room, spent = budget.limit - budget.spent, 0
 
     def minimal_fort(closed: int) -> int:
         # grow the proper closed set to a maximal one; its complement is a
         # minimal fort.  essential: the vertices whose addition closed
         # everything; closed only grows, so a closure that reaches one of
         # them ends full too
+        nonlocal spent
         essential = 0
-        for v in bits(comp & ~closed):
-            low = 1 << v
-            if closed & low:
-                continue
-            budget.spend()
+        todo = comp & ~closed
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            spent += 1
+            if spent > room:
+                budget.spend(room + 1)
             grown = _close(tables, comp, closed | low, skew, psd, stop=essential)
             if grown == comp:
                 essential |= low
             else:
                 closed = grown
+                todo &= ~grown
         return comp & ~closed
 
     def search(chosen: int, depth: int, banned: int, unhit: list[int],
@@ -337,13 +367,14 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
         # and map banned onto itself; None while not listed, and then banned
         # is empty and the group is all of chosen's pointwise stabiliser.
         # Returns True once the incumbent meets the lower bound.
-        nonlocal best, whole
+        nonlocal best, whole, spent
         left = best.bit_count() - 1 - depth  # picks that stay below the incumbent
         if left < 0:
             return False
-        budget.spend()
+        spent += 1 if unhit else 2  # the node, and the closure of a leaf
+        if spent > room:
+            budget.spend(room + 1)
         if not unhit:
-            budget.spend()
             closed = _close(tables, comp, chosen, skew, psd)
             if closed == comp:
                 best = chosen
@@ -362,12 +393,14 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
         if left == 1 and not symmetric:
             allowed = common & ~banned
         else:
-            allowed = min([f & ~banned for f in unhit], key=int.bit_count)
+            free = ~banned
+            allowed = min([f & free for f in unhit], key=int.bit_count)
             if not allowed:
                 return False
         pending = []  # vertices banned here whose orbits are not banned yet
-        for v in bits(allowed):
-            low = 1 << v
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
             if banned & low:  # in the orbit of a vertex already tried
                 continue
             if common & low:  # else a last pick that misses a fort: banned untried
@@ -384,23 +417,38 @@ def _component_minimum(g: Graph, rule: Rule, budget: Budget) -> int:
                     pending.clear()
                     if banned & low:
                         continue
-                known = len(forts)
-                stabiliser = (group if group is None or not symmetric
-                              else [p for p in group if p[v] == v])
-                if search(chosen | low, depth + 1, banned, [f for f in unhit if not f & low],
-                          stabiliser):
-                    return True
-                unhit.extend(forts[known:])
-                if left == 1:
-                    for f in forts[known:]:
-                        common &= f
+                if left > 1:
+                    known = len(forts)
+                    v = low.bit_length() - 1
+                    stabiliser = (group if group is None or not symmetric
+                                  else [p for p in group if p[v] == v])
+                    if search(chosen | low, depth + 1, banned,
+                              [f for f in unhit if not f & low], stabiliser):
+                        return True
+                    unhit.extend(forts[known:])
+                elif best.bit_count() > depth + 1:  # else no child stays below the incumbent
+                    # the child on v is a leaf, closed here with its two
+                    # steps: v is in every unhit fort, so its list is empty
+                    spent += 2
+                    if spent > room:
+                        budget.spend(room + 1)
+                    closed = _close(tables, comp, chosen | low, skew, psd)
+                    if closed == comp:
+                        best = chosen | low
+                        if depth + 1 == bound:
+                            return True
+                    else:
+                        forts.append(minimal_fort(closed))
+                        unhit.append(forts[-1])
+                        common &= forts[-1]
             banned |= low
             if symmetric:
-                pending.append(v)
+                pending.append(low.bit_length() - 1)
         return False
 
     search(0, 0, 0, [], None)
     del search  # it refers to itself: free its forts now, not at a later collection
+    budget.spend(spent)
     return best
 
 
@@ -415,13 +463,16 @@ def zero_forcing_number(g: Graph, rule: Rule, *, budget: int = 10 ** 8) -> ZfRes
     if budget < 1:
         raise ValueError("budget must be at least 1")
     state = Budget(budget)
-    initial = 0
+    initial, tables = 0, None  # g's tables, when g is its one component
     for comp in components(g):
         sub, verts = (g, range(g.n)) if comp == g.full_mask else induced_subgraph(g, comp)
-        for i in bits(_component_minimum(sub, rule, state)):
+        sub_tables = _chunk_tables(sub.adj)
+        if sub is g:
+            tables = sub_tables
+        for i in bits(_component_minimum(sub, sub_tables, rule, state)):
             initial |= 1 << verts[i]
 
-    final, cert = closure(g, rule, initial)
+    final, cert = closure(g, rule, initial, _tables=tables)
     if final != g.full_mask:
         raise AssertionError("solver witness failed deterministic replay")
     return ZfResult(initial.bit_count(), cert, state.spent)

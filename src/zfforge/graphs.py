@@ -44,10 +44,12 @@ class BudgetExceededError(RuntimeError):
 class Budget:
     """Step meter shared by the exponential searches.
 
-    ``spend`` counts one step; the first step past ``limit`` raises
-    BudgetExceededError naming ``what`` was being searched, which the search
-    sets as it moves from one component to the next, and the steps spent.
-    The message is built only then, so a step does no string work.
+    ``spend`` counts one step, or ``steps`` at once: a search may count its
+    steps itself and spend them in one call, or all up to ``limit + 1`` at
+    its first step past the limit.  That step raises BudgetExceededError
+    naming ``what`` was being searched, which the search sets as it moves
+    from one component to the next, and the steps spent.  The message is
+    built only then, so a step does no string work.
     """
 
     __slots__ = ("limit", "spent", "what")
@@ -57,8 +59,8 @@ class Budget:
         self.spent = 0
         self.what = "search"
 
-    def spend(self) -> None:
-        self.spent += 1
+    def spend(self, steps: int = 1) -> None:
+        self.spent += steps
         if self.spent > self.limit:
             raise BudgetExceededError(
                 f"{self.what} exhausted its budget after {self.spent} steps")

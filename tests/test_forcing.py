@@ -229,6 +229,32 @@ def test_budget_error_names_the_component_that_ran_out():
     assert "order 3" in str(info.value)
 
 
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda rule: rule.value)
+def test_budget_boundary_is_exact(rule):
+    # a budget of exactly the steps a solve takes gives the same solve; one
+    # step less, or any smaller budget k, raises at step k + 1, naming the
+    # component whose search took that step
+    rng = random.Random(277)
+    for g in (PETERSEN, fig1_left(), cycle(8), disjoint_union(path(3), fig1_left())):
+        result = zero_forcing_number(g, rule)
+        exact = zero_forcing_number(g, rule, budget=result.explored)
+        assert (exact.value, exact.witness, exact.explored) == \
+            (result.value, result.witness, result.explored)
+        ends = []  # (steps spent when the component's search ends, its order)
+        for comp in components(g):
+            sub, _verts = induced_subgraph(g, comp)
+            ends.append(((ends[-1][0] if ends else 0)
+                         + zero_forcing_number(sub, rule).explored, sub.n))
+        assert ends[-1][0] == result.explored
+        limits = range(1, result.explored)
+        for k in {result.explored - 1, *rng.sample(limits, min(12, len(limits)))}:
+            with pytest.raises(BudgetExceededError) as info:
+                zero_forcing_number(g, rule, budget=k)
+            order = next(order for end, order in ends if k < end)
+            assert str(info.value) == (f"{rule.value} search on a component of order "
+                                       f"{order} exhausted its budget after {k + 1} steps")
+
+
 def test_deterministic_witness():
     a = zero_forcing_number(cycle(8), Rule.STANDARD, budget=10 ** 8)
     b = zero_forcing_number(cycle(8), Rule.STANDARD, budget=10 ** 8)
@@ -390,6 +416,34 @@ def test_closures_agree_at_chunk_boundaries():
                         split_psd += 1
                         beyond_standard += stepped != closure(g, Rule.STANDARD, s)[0]
     assert split_psd >= 30 and beyond_standard >= 10
+
+
+def test_close_stops_at_a_vertex_that_closes_everything():
+    # minimal_fort's closures: C is closed, E the vertices whose addition to
+    # C closes everything, and a closure of C plus one vertex that turns a
+    # vertex of E blue may return the full set at once; the result must
+    # still be the closure.  Under psd the cases that go beyond the standard
+    # closure need a pass over white components after the pass over the
+    # whole white set stalls
+    rng = random.Random(281)
+    beyond_standard = 0
+    for n in range(8, 25, 4):
+        for p in (2.5 / n, 4 / n):
+            g = random_graph(rng, n, p)
+            tables = _chunk_tables(g.adj)
+            s = sum(1 << v for v in range(n) if rng.random() < 0.2)
+            for rule in ALL_RULES:
+                closed = mask_from(set_closure(g, rule, bits(s))[0])
+                grown = {v: mask_from(set_closure(g, rule, bits(closed | 1 << v))[0])
+                         for v in bits(g.full_mask & ~closed)}
+                stop = mask_from(v for v, m in grown.items() if m == g.full_mask)
+                for v, expected in grown.items():
+                    assert _close(tables, g.full_mask, closed | 1 << v, rule is Rule.SKEW,
+                                  rule is Rule.PSD, stop=stop) == expected, (g, rule, v)
+                    if rule is Rule.PSD:
+                        standard = set_closure(g, Rule.STANDARD, bits(closed | 1 << v))[0]
+                        beyond_standard += expected != mask_from(standard)
+    assert beyond_standard >= 20
 
 
 def _starting_bound(g, rule):
@@ -577,6 +631,28 @@ def test_a_connected_graph_is_solved_as_itself(monkeypatch):
         assert cut == []
         zero_forcing_number(disjoint_union(path(3), cycle(4)), rule)
         assert cut == [0b111, 0b1111000]
+
+
+def test_a_solve_builds_each_components_chunk_tables_once(monkeypatch):
+    # the witness replay of a connected graph reads the tables its search
+    # built; a graph of k components builds one per component and one for
+    # the replay
+    built = []
+
+    def counted(adj):
+        built.append(len(adj))
+        return _chunk_tables(adj)
+
+    monkeypatch.setattr(forcing, "_chunk_tables", counted)
+    cases = [(fig1_left(), [10]), (PETERSEN, [10]),
+             (disjoint_union(path(3), cycle(4)), [3, 4, 7]),
+             (disjoint_union(PETERSEN, empty(2)), [10, 1, 1, 12])]
+    for g, expected in cases:
+        for rule in ALL_RULES:
+            built.clear()
+            result = zero_forcing_number(g, rule)
+            assert verify_certificate(g, result.witness)
+            assert built == expected, (g, rule)
 
 
 def test_search_witnesses_are_pinned():
