@@ -28,7 +28,7 @@ overall has one in that neighbour's component, so every force it finds is a
 psd force, and white is split into components only when it finds none.
 
 The solver takes each connected component as a graph of its own
-(``graphs.induced_subgraph``, or g itself when it is connected) and sums the
+(``graphs.induced_subgraph``, which gives a connected g itself) and sums the
 component minima (all three parameters are additive over components; in
 particular an isolated vertex always costs 1, since no rule lets anything
 force a vertex with no neighbours).  A fort is the complement of a proper
@@ -465,7 +465,7 @@ def zero_forcing_number(g: Graph, rule: Rule, *, budget: int = 10 ** 8) -> ZfRes
     state = Budget(budget)
     initial, tables = 0, None  # g's tables, when g is its one component
     for comp in components(g):
-        sub, verts = (g, range(g.n)) if comp == g.full_mask else induced_subgraph(g, comp)
+        sub, verts = induced_subgraph(g, comp)
         sub_tables = _chunk_tables(sub.adj)
         if sub is g:
             tables = sub_tables

@@ -396,14 +396,11 @@ def line_graph(g: Graph) -> Graph:
     """Vertices are the edges of g; adjacent when they share an endpoint."""
     es = g.edges()
     _check_cap(len(es), "line graph")
-    rows = [0] * len(es)
-    for a, (u1, v1) in enumerate(es):
-        for b in range(a + 1, len(es)):
-            u2, v2 = es[b]
-            if u1 in (u2, v2) or v1 in (u2, v2):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return Graph(len(es), rows)
+    incident = [0] * g.n
+    for e, (u, v) in enumerate(es):
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+    return Graph(len(es), [(incident[u] | incident[v]) ^ 1 << e for e, (u, v) in enumerate(es)])
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
@@ -450,9 +447,12 @@ def components(g: Graph) -> list[int]:
 
 
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph on the masked vertices plus the map from new to old indices."""
+    """Subgraph on the masked vertices plus the map from new to old indices
+    (g itself, not a copy, for the whole vertex set)."""
     if mask & ~g.full_mask:  # also every negative mask, on which bits never ends
         raise GraphError(f"vertex mask {mask} has vertices outside 0..{g.n - 1}")
+    if mask == g.full_mask:
+        return g, tuple(range(g.n))
     verts = tuple(list(bits(mask)))
     pos = {v: i for i, v in enumerate(verts)}
     rows = []
@@ -551,15 +551,15 @@ def is_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     if g.n != h.n or g.m != h.m:
         return False, None
     budget = Budget(ISO_NODE_CAP)
-    unused = [induced_subgraph(h, comp) for comp in components(h)]
+    unused = [(sub, verts, _neighbour_lists(sub))
+              for sub, verts in (induced_subgraph(h, comp) for comp in components(h))]
     mapping = [0] * g.n
     for comp in components(g):
         sub, verts = induced_subgraph(g, comp)
         budget.what = f"isomorphism search on a component of order {sub.n}"
         path = _path(_neighbour_lists(sub), [0] * sub.n)
-        for i, (sub_h, verts_h) in enumerate(unused):
-            found = _search_mapping(sub, sub_h, path, 0, _neighbour_lists(sub_h),
-                                    [0] * sub_h.n, budget)
+        for i, (sub_h, verts_h, nbrs_h) in enumerate(unused):
+            found = _search_mapping(sub, sub_h, path, 0, nbrs_h, [0] * sub_h.n, budget)
             if found is not None:
                 for v, w in zip(verts, found):
                     mapping[v] = verts_h[w]
@@ -690,24 +690,14 @@ def emit_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
-    stream = []
-    for j in range(1, n):
-        for i in range(j):
-            stream.append(1 if g.has_edge(i, j) else 0)
-    out = [head]
-    for p in range(0, len(stream), 6):
-        chunk = stream[p:p + 6] + [0] * max(0, p + 6 - len(stream))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return "".join(out)
+    # column j is the bits of row j below j, lowest first
+    stream = "".join([format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)])
+    stream += "0" * (-len(stream) % 6)
+    return head + "".join([chr(63 + int(stream[p:p + 6], 2)) for p in range(0, len(stream), 6)])
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+    s = text.strip().removeprefix(">>graph6<<")
     if not s:
         raise GraphError("empty graph6 string")
     if s[0] == "~":
@@ -723,20 +713,16 @@ def parse_graph6(text: str) -> Graph:
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise GraphError("graph6 body has wrong length")
-    stream = []
     for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
+        if not "?" <= ch <= "~":
             raise GraphError(f"invalid graph6 character {ch!r}")
-        stream.extend((val >> k) & 1 for k in range(5, -1, -1))
+    stream = "".join([format(ord(ch) - 63, "06b") for ch in body])
     rows = [0] * n
-    pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if stream[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
+        # column j, bits i < j, sits at stream[j (j - 1) / 2:] lowest first
+        rows[j] = col = int(stream[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in bits(col):
+            rows[i] |= 1 << j
     return Graph(n, rows)
 
 

@@ -1,7 +1,7 @@
 """Exact integer characteristic polynomials and cospectrality certificates.
 
-All spectral statements in this package reduce to equality of integer
-polynomial coefficient vectors, so nothing here ever touches floating point.
+All spectral statements reduce to equal integer coefficient vectors or equal
+exact values at enough points, so nothing here ever touches floating point.
 Characteristic polynomials det(xI - M) are computed with the Berkowitz
 scheme, which is division-free: only big-integer additions and
 multiplications occur.  The kernel reads the graph, not a dense matrix, and
@@ -178,32 +178,6 @@ def regular_cospectral_report(g: Graph, h: Graph) -> RegularCospectralReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (degree-descending coefficient lists)
-# ---------------------------------------------------------------------------
-
-def _pmul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _pshift(p: list[int], c: int) -> list[int]:
-    """Coefficients of p(x + c), by Horner over (x + c)."""
-    out = [p[0]]
-    for a in p[1:]:
-        nxt = [0] * (len(out) + 1)
-        for idx, b in enumerate(out):
-            nxt[idx] += b
-            nxt[idx + 1] += b * c
-        nxt[-1] += a
-        out = nxt
-    return out
-
-
 def laplacian_join_identity_check(g: Graph, h: Graph) -> bool:
     """Exact polynomial identity tying the Laplacian char poly of a join to
     its factors:
@@ -211,16 +185,14 @@ def laplacian_join_identity_check(g: Graph, h: Graph) -> bool:
         charL(g v h)(x) (x - n')(x - n)
             = x (x - n - n') charL(g)(x - n') charL(h)(x - n)
 
-    with n = |V(g)| and n' = |V(h)|.  Both sides are expanded over the
-    integers and compared coefficient by coefficient.
+    with n = |V(g)| and n' = |V(h)|.  Both sides are monic of degree
+    D = n + n' + 2, so their difference has degree below D and is zero exactly
+    when it vanishes at D distinct integers: here the D centred on 0.
     """
-    n, np = g.n, h.n
-    cj = list(char_poly(join(g, h), MatrixKind.LAPLACIAN).coeffs)
-    lhs = _pmul(_pmul(cj, [1, -np]), [1, -n])
-    cg = _pshift(list(char_poly(g, MatrixKind.LAPLACIAN).coeffs), -np)
-    ch = _pshift(list(char_poly(h, MatrixKind.LAPLACIAN).coeffs), -n)
-    rhs = _pmul(_pmul([1, 0], [1, -(n + np)]), _pmul(cg, ch))
-    return lhs == rhs
+    n, np, d = g.n, h.n, g.n + h.n + 2
+    cj, cg, ch = (char_poly(f, MatrixKind.LAPLACIAN) for f in (join(g, h), g, h))
+    return all(cj(x) * (x - np) * (x - n) == x * (x - n - np) * cg(x - np) * ch(x - n)
+               for x in range(-(d // 2), d - d // 2))
 
 
 def regular_join_adjacency_check(g: Graph, h: Graph) -> bool:
@@ -229,13 +201,13 @@ def regular_join_adjacency_check(g: Graph, h: Graph) -> bool:
         charA(g v h)(x) (x - r)(x - r')
             = charA(g)(x) charA(h)(x) (x^2 - (r + r') x + (r r' - n n'))
 
-    Raises when either factor is not regular.
+    Both sides are monic of degree n + n' + 2 and are compared as in the
+    Laplacian identity.  Raises when either factor is not regular.
     """
     r, rp = g.is_regular(), h.is_regular()
     if r is None or rp is None:
         raise ValueError("regular_join_adjacency_check needs regular inputs")
-    cj = list(char_poly(join(g, h), MatrixKind.ADJACENCY).coeffs)
-    lhs = _pmul(_pmul(cj, [1, -r]), [1, -rp])
-    quad = [1, -(r + rp), r * rp - g.n * h.n]
-    rhs = _pmul(_pmul(list(char_poly(g).coeffs), list(char_poly(h).coeffs)), quad)
-    return lhs == rhs
+    cj, cg, ch = char_poly(join(g, h)), char_poly(g), char_poly(h)
+    c, d = r * rp - g.n * h.n, g.n + h.n + 2
+    return all(cj(x) * (x - r) * (x - rp) == cg(x) * ch(x) * (x * x - (r + rp) * x + c)
+               for x in range(-(d // 2), d - d // 2))

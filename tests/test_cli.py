@@ -304,6 +304,28 @@ def test_verify_paper_jobs_below_one_is_usage_error(capsys, jobs):
     assert "--jobs: must be an integer of at least 1" in capsys.readouterr().err
 
 
+def test_skew_nullity_budget_is_a_sample_cap(capsys):
+    # ex32_G is C6 plus an isolated vertex: a grid of 6 samples for the
+    # cycle's one free edge and 1 for the vertex, so 7 samples certify it
+    for budget, certified in (("6", False), ("7", True)):
+        code, out, _ = run(capsys, "skew-nullity", "ex32_G", "--budget", budget, "--seed", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certified"] is certified and payload["nullity"] == 3
+
+
+def test_verify_paper_one_claim_with_two_jobs_runs_without_a_pool(capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one matching claim needs no process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run(capsys, "verify-paper", "--only", "fig1.Z.left", "--jobs", "2")
+    assert code == 0
+    assert out.split()[:2] == ["pass", "fig1.Z.left"]
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_skew_nullity_budget_below_one_is_usage_error(capsys, budget):
     with pytest.raises(SystemExit) as exc:

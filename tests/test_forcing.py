@@ -617,20 +617,25 @@ def test_group_is_listed_only_when_a_ban_needs_it(monkeypatch):
 
 
 def test_a_connected_graph_is_solved_as_itself(monkeypatch):
-    # only a graph with two or more components is cut into induced subgraphs
-    cut = []
+    # the search gets a connected graph itself, and a copy of each component
+    # of a graph with two or more
+    solved, search = [], forcing._component_minimum
 
-    def counted(g, mask):
-        cut.append(mask)
-        return induced_subgraph(g, mask)
+    def recorded(g, tables, rule, budget):
+        solved.append(g)
+        return search(g, tables, rule, budget)
 
-    monkeypatch.setattr(forcing, "induced_subgraph", counted)
+    monkeypatch.setattr(forcing, "_component_minimum", recorded)
+    g = fig1_left()
+    parts = disjoint_union(path(3), cycle(4))
     for rule, value in zip(ALL_RULES, (6, 4, 5)):
-        cut.clear()
-        assert zero_forcing_number(fig1_left(), rule).value == value
-        assert cut == []
-        zero_forcing_number(disjoint_union(path(3), cycle(4)), rule)
-        assert cut == [0b111, 0b1111000]
+        solved.clear()
+        assert zero_forcing_number(g, rule).value == value
+        assert len(solved) == 1 and solved[0] is g
+        solved.clear()
+        zero_forcing_number(parts, rule)
+        assert solved == [path(3), cycle(4)]
+        assert all(sub is not parts for sub in solved)
 
 
 def test_a_solve_builds_each_components_chunk_tables_once(monkeypatch):

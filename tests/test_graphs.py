@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -190,6 +191,22 @@ def test_complement():
         assert complement(complement(g)) == g
 
 
+def test_line_graph_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(71)
+    cases = [empty(0), empty(3), complete(2), path(5), complete(5), PETERSEN,
+             *(random_graph(rng, rng.randint(2, 14), rng.random()) for _ in range(60))]
+    cases = [g for g in cases if g.m <= 64]  # the line graph's order cap
+    assert len(cases) >= 60
+    for g in cases:
+        index = {e: i for i, e in enumerate(g.edges())}
+        other = nx.Graph(g.edges())
+        other.add_nodes_from(range(g.n))
+        expected = from_edges(g.m, [(index[tuple(sorted(a))], index[tuple(sorted(b))])
+                                    for a, b in nx.line_graph(other).edges])
+        assert line_graph(g) == expected
+
+
 def test_line_graph_k22_is_c4():
     iso, _ = is_isomorphic(line_graph(complete_bipartite(2, 2)), cycle(4))
     assert iso
@@ -232,6 +249,12 @@ def test_induced_subgraph_rejects_a_mask_outside_the_graph():
         with pytest.raises(GraphError, match=f"vertex mask {mask} has vertices outside 0..2"):
             induced_subgraph(path(3), mask)
     assert induced_subgraph(path(3), 0b101) == (empty(2), (0, 2))
+
+
+def test_induced_subgraph_of_every_vertex_is_the_graph_itself():
+    for g in (empty(0), empty(1), path(3), disjoint_union(path(3), cycle(4)), PETERSEN):
+        sub, verts = induced_subgraph(g, g.full_mask)
+        assert sub is g and verts == tuple(range(g.n))
 
 
 def test_isomorphism_fixture_pair_differs():
@@ -684,6 +707,30 @@ def test_graph6_header_and_errors():
         parse_graph6("~" + chr(63 + 1) + chr(63) + chr(63))  # order 4096
     with pytest.raises(GraphError, match="unsupported graph6 size encoding"):
         parse_graph6("~~??????" + "?" * 4)  # 6-byte order prefix
+    # a body byte outside "?".."~" is named, the first one when there are two
+    for text, bad in (("A>", ">"), ("D?\x7f", "\x7f"), ("D>\x7f", ">")):
+        with pytest.raises(GraphError, match=re.escape(f"invalid graph6 character {bad!r}")):
+            parse_graph6(text)
+
+
+def _seeded_graphs_of_every_order():
+    # one graph of each order 0..64 at a density drawn per order, so the
+    # long size form (orders 63 and 64) and every padding length occur
+    rng = random.Random(67)
+    return [random_graph(rng, n, rng.random()) for n in range(65)]
+
+
+def test_graph6_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _seeded_graphs_of_every_order():
+        other = nx.Graph()
+        other.add_nodes_from(range(g.n))
+        other.add_edges_from(g.edges())
+        text = nx.to_graph6_bytes(other, nodes=range(g.n), header=False).strip()
+        assert emit_graph6(g).encode() == text
+        back = nx.from_graph6_bytes(emit_graph6(g).encode())
+        assert sorted(back.nodes) == list(range(g.n))
+        assert parse_graph6(text.decode()) == from_edges(g.n, back.edges) == g
 
 
 def test_edgelist():

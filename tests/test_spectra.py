@@ -6,12 +6,13 @@ import pytest
 
 from zfforge.constructions import (planted_switching_instance, regular_construction,
                                    shrikhande)
+from zfforge import spectra
 from zfforge.graphs import (complete, complete_bipartite, cycle, disjoint_union,
                             empty, ex32_g, ex32_gprime, fig1_left, fig1_right,
                             grid_lattice, path, relabel, tensor)
 from zfforge.randgraphs import random_graph, random_regular_graph
 from zfforge.spectra import (CharPoly, MatrixKind, char_poly, cospectral,
-                             _pshift, kind_from_letter, laplacian_join_identity_check,
+                             kind_from_letter, laplacian_join_identity_check,
                              regular_cospectral_report, regular_join_adjacency_check)
 
 from oracles import dense_berkowitz, det_exact, integer_roots, matrix_of
@@ -24,6 +25,19 @@ def _pmul(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
+    return out
+
+
+def _pshift(p, c):
+    """Coefficients of p(x + c), by Horner over (x + c)."""
+    out = [p[0]]
+    for a in p[1:]:
+        nxt = [0] * (len(out) + 1)
+        for idx, b in enumerate(out):
+            nxt[idx] += b
+            nxt[idx + 1] += b * c
+        nxt[-1] += a
+        out = nxt
     return out
 
 
@@ -210,12 +224,111 @@ def test_laplacian_join_identity_random_sweep():
         assert laplacian_join_identity_check(g, h)
 
 
+def _laplacian_identity_by_expansion(g, h):
+    # the slow oracle: both sides of the identity expanded into coefficients,
+    # with the join taken from spectra so that a patched join reaches it too
+    n, np = g.n, h.n
+    cj = list(char_poly(spectra.join(g, h), MatrixKind.LAPLACIAN).coeffs)
+    lhs = _pmul(_pmul(cj, [1, -np]), [1, -n])
+    cg = _pshift(list(char_poly(g, MatrixKind.LAPLACIAN).coeffs), -np)
+    ch = _pshift(list(char_poly(h, MatrixKind.LAPLACIAN).coeffs), -n)
+    return lhs == _pmul(_pmul([1, 0], [1, -(n + np)]), _pmul(cg, ch))
+
+
+def _adjacency_identity_by_expansion(g, h):
+    r, rp = g.is_regular(), h.is_regular()
+    cj = list(char_poly(spectra.join(g, h)).coeffs)
+    lhs = _pmul(_pmul(cj, [1, -r]), [1, -rp])
+    quad = [1, -(r + rp), r * rp - g.n * h.n]
+    return lhs == _pmul(_pmul(list(char_poly(g).coeffs), list(char_poly(h).coeffs)), quad)
+
+
+def _identity_pairs():
+    # seeded pairs of orders 0..8 with both factors regular, then any pairs
+    rng = random.Random(113)
+    pairs = [(empty(0), empty(0)), (empty(0), complete(1)), (complete(1), complete(1)),
+             (empty(0), cycle(5)), (complete(1), fig1_left())]
+    while len(pairs) < 40:
+        pair = []
+        for _side in range(2):
+            n = rng.randint(0, 8)
+            if n == 0:
+                pair.append(empty(0))
+                continue
+            k = rng.choice([k for k in range(n) if (n * k) % 2 == 0])
+            pair.append(random_regular_graph(rng, n, k))
+        pairs.append(tuple(pair))
+    pairs += [(random_graph(rng, rng.randint(0, 8)), random_graph(rng, rng.randint(0, 8)))
+              for _ in range(30)]
+    return pairs
+
+
+def test_join_identities_agree_with_coefficient_expansion():
+    pairs = _identity_pairs()
+    regular = [(g, h) for g, h in pairs if g.is_regular() is not None
+               and h.is_regular() is not None]
+    assert len(pairs) >= 50 and len(regular) >= 40
+    assert {g.n for g, _ in pairs} >= {0, 1} and {h.n for _, h in pairs} >= {0, 1}
+    for g, h in pairs:
+        assert laplacian_join_identity_check(g, h) is _laplacian_identity_by_expansion(g, h)
+        assert laplacian_join_identity_check(g, h) is True
+    for g, h in regular:
+        assert regular_join_adjacency_check(g, h) is _adjacency_identity_by_expansion(g, h)
+        assert regular_join_adjacency_check(g, h) is True
+
+
+def test_join_identities_reject_a_disjoint_union(monkeypatch):
+    # a disjoint union has fewer edges than the join of two non-empty
+    # factors, so neither identity holds for its char poly
+    monkeypatch.setattr(spectra, "join", disjoint_union)
+    pairs = [(g, h) for g, h in _identity_pairs() if g.n and h.n]
+    assert len(pairs) >= 40
+    for g, h in pairs:
+        assert laplacian_join_identity_check(g, h) is _laplacian_identity_by_expansion(g, h)
+        assert laplacian_join_identity_check(g, h) is False
+        if g.is_regular() is not None and h.is_regular() is not None:
+            assert regular_join_adjacency_check(g, h) is _adjacency_identity_by_expansion(g, h)
+            assert regular_join_adjacency_check(g, h) is False
+
+
+@pytest.mark.parametrize("identity, g, h, kind, roots", [
+    (laplacian_join_identity_check, path(3), complete(2), MatrixKind.LAPLACIAN, (3, 2)),
+    (regular_join_adjacency_check, cycle(4), complete(2), MatrixKind.ADJACENCY, (2, 1)),
+])
+def test_join_identities_read_every_point(monkeypatch, identity, g, h, kind, roots):
+    # A false join char poly cj + e, with e of degree below n + n' vanishing
+    # at every one of the D = n + n' + 2 points centred on 0 but one, moves
+    # the left side by e(x) (x - a)(x - b), where a and b are the two roots
+    # the left side multiplies by; so only the one point tells it apart.
+    d = g.n + h.n + 2
+    points = range(-(d // 2), d - d // 2)
+    assert set(roots) <= set(points)
+    true_char_poly, joined = spectra.char_poly, spectra.join(g, h)
+    for skip in (x for x in points if x not in roots):
+        error = [1]
+        for x in points:
+            if x != skip and x not in roots:
+                error = _pmul(error, [1, -x])
+
+        def false_char_poly(graph, which=MatrixKind.ADJACENCY):
+            coeffs = true_char_poly(graph, which).coeffs
+            if graph != joined or which is not kind:
+                return CharPoly(coeffs)
+            return CharPoly(map(sum, zip(coeffs, [0] * (len(coeffs) - len(error)) + error)))
+
+        monkeypatch.setattr(spectra, "char_poly", false_char_poly)
+        assert identity(g, h) is False
+        monkeypatch.setattr(spectra, "char_poly", true_char_poly)
+    assert identity(g, h) is True
+
+
 def test_regular_join_adjacency_examples():
     assert regular_join_adjacency_check(complete(2), complete(2))
     assert regular_join_adjacency_check(cycle(4), cycle(4))
     assert regular_join_adjacency_check(fig1_left(), complete(3))
-    with pytest.raises(ValueError):
-        regular_join_adjacency_check(path(3), complete(2))
+    for g, h in ((path(3), complete(2)), (complete(2), path(3)), (path(3), path(3))):
+        with pytest.raises(ValueError, match="needs regular inputs"):
+            regular_join_adjacency_check(g, h)
 
 
 def test_regular_join_adjacency_random_regular_sweep():
