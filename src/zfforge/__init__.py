@@ -23,4 +23,4 @@ from .constructions import (ConstructionPair, Expected, PreconditionError,
 from .skew_rank import SkewWitness, exact_rank, max_nullity_witness_search
 from .claims import ClaimReport, claim_ids, evaluate_claim, run_claims
 
-__version__ = "0.1.0"
+from .claims import VERSION as __version__

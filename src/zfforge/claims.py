@@ -386,7 +386,7 @@ def run_claims(prefix: Optional[str] = None, jobs: int = 1, seed: int = 0) -> li
     ids = [cid for cid in claim_ids() if prefix is None or cid.startswith(prefix)]
     if jobs > 1 and len(ids) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             reports = list(pool.map(evaluate_claim, ids, [seed] * len(ids)))
     else:
         reports = [evaluate_claim(cid, seed) for cid in ids]

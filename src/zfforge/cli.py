@@ -42,7 +42,7 @@ def load_graph(spec: str, fmt: str = "auto") -> graphs.Graph:
     if fmt == "file":
         with open(spec, encoding="utf-8") as handle:
             content = handle.read()
-        lines = [ln for ln in content.splitlines() if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, content.splitlines()) if ln and not ln.startswith("#")]
         if lines and all(len(ln.split()) == 2 and all(tok.isdigit() for tok in ln.split())
                          for ln in lines):
             return graphs.parse_edgelist(content)
@@ -81,45 +81,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a named graph")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("name")
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--format", default="graph6", choices=["graph6", "edgelist"])
 
     p = sub.add_parser("zf", help="exact zero forcing number with witness")
+    p.set_defaults(run=_cmd_zf)
     p.add_argument("input")
     p.add_argument("--rule", required=True, choices=["standard", "skew", "psd"])
     p.add_argument("--certificate", help="write the witness certificate JSON here")
     _add_input_format(p)
 
     p = sub.add_parser("closure", help="closure of an initial set with its trace")
+    p.set_defaults(run=_cmd_closure)
     p.add_argument("input")
     p.add_argument("--rule", required=True, choices=["standard", "skew", "psd"])
     p.add_argument("--set", required=True, help="comma-separated initial vertices")
     _add_input_format(p)
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial")
+    p.set_defaults(run=_cmd_charpoly)
     p.add_argument("input")
     p.add_argument("--matrix", default="A", choices=["A", "L", "Q"])
     _add_input_format(p)
 
     p = sub.add_parser("cospectral", help="exact cospectrality of two graphs")
+    p.set_defaults(run=_cmd_cospectral)
     p.add_argument("input1")
     p.add_argument("input2")
     p.add_argument("--matrix", default="A", choices=["A", "L", "Q"])
     _add_input_format(p)
 
     p = sub.add_parser("iso", help="isomorphism with mapping witness")
+    p.set_defaults(run=_cmd_iso)
     p.add_argument("input1")
     p.add_argument("input2")
     _add_input_format(p)
 
     p = sub.add_parser("gm-switch", help="partition switching with validation report")
+    p.set_defaults(run=_cmd_gm_switch)
     p.add_argument("input")
     p.add_argument("--parts", action="append", required=True,
                    help="comma-separated vertices of one part; repeat for more parts")
     _add_input_format(p)
 
     p = sub.add_parser("construct", help="build a shipped construction pair")
+    p.set_defaults(run=_cmd_construct)
     families = p.add_subparsers(dest="family", required=True)
     f = families.add_parser("theorem51")
     f.add_argument("--g1")
@@ -140,12 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     families.add_parser("corollary52").add_argument("--c", type=int, required=True)
 
     p = sub.add_parser("skew-nullity", help="maximum-nullity witness search")
+    p.set_defaults(run=_cmd_skew_nullity)
     p.add_argument("input")
     p.add_argument("--budget", type=_positive_int, default=4000)
     p.add_argument("--seed", type=int, default=0)
     _add_input_format(p)
 
     p = sub.add_parser("verify-paper", help="run the built-in claim catalog")
+    p.set_defaults(run=_cmd_verify_paper)
     p.add_argument("--only", help="restrict to claim ids with this prefix")
     p.add_argument("--json", help="write the full report JSON here")
     p.add_argument("--jobs", type=_positive_int, default=1,
@@ -153,6 +163,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+def _write_json(payload, path: Optional[str] = None) -> None:
+    """Print ``payload`` as indented JSON, or write it to the file ``path``."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path is None:
+        print(text)
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
 
 
 def _cmd_gen(args) -> int:
@@ -166,9 +186,7 @@ def _cmd_zf(args) -> int:
     result = zero_forcing_number(g, rule_from_name(args.rule))
     print(result.value)
     if args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as handle:
-            json.dump(result.witness.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(result.witness.to_json(), args.certificate)
     return 0
 
 
@@ -176,9 +194,8 @@ def _cmd_closure(args) -> int:
     g = load_graph(args.input, args.format)
     initial = _parse_vertex_list(args.set)
     final, cert = closure(g, rule_from_name(args.rule), initial)
-    print(json.dumps({"final": sorted(graphs.bits(final)),
-                      "all_blue": final == g.full_mask,
-                      "certificate": cert.to_json()}, indent=2, sort_keys=True))
+    _write_json({"final": sorted(graphs.bits(final)), "all_blue": final == g.full_mask,
+                 "certificate": cert.to_json()})
     return 0
 
 
@@ -193,9 +210,8 @@ def _cmd_cospectral(args) -> int:
     g = load_graph(args.input1, args.format)
     h = load_graph(args.input2, args.format)
     pg, ph = char_poly(g, kind), char_poly(h, kind)
-    print(json.dumps({"cospectral": pg == ph,
-                      "char_poly_1": pg.to_json(),
-                      "char_poly_2": ph.to_json()}, indent=2, sort_keys=True))
+    _write_json({"cospectral": pg == ph, "char_poly_1": pg.to_json(),
+                 "char_poly_2": ph.to_json()})
     return 0
 
 
@@ -203,9 +219,7 @@ def _cmd_iso(args) -> int:
     g = load_graph(args.input1, args.format)
     h = load_graph(args.input2, args.format)
     iso, mapping = graphs.is_isomorphic(g, h)
-    print(json.dumps({"isomorphic": iso,
-                      "mapping": list(mapping) if iso else None},
-                     indent=2, sort_keys=True))
+    _write_json({"isomorphic": iso, "mapping": list(mapping) if iso else None})
     return 0
 
 
@@ -214,14 +228,10 @@ def _cmd_gm_switch(args) -> int:
     parts = [graphs.mask_from(_parse_vertex_list(raw)) for raw in args.parts]
     partition = cons.switching_partition(g, parts)
     if not partition.ok:
-        print(json.dumps({"error": "invalid switching partition",
-                          "validation": partition.to_json()},
-                         indent=2, sort_keys=True))
+        _write_json({"error": "invalid switching partition", "validation": partition.to_json()})
         return 1
     switched = cons.gm_switch(g, parts)
-    print(json.dumps({"graph6": graphs.emit_graph6(switched),
-                      "validation": partition.to_json()},
-                     indent=2, sort_keys=True))
+    _write_json({"graph6": graphs.emit_graph6(switched), "validation": partition.to_json()})
     return 0
 
 
@@ -239,14 +249,14 @@ def _cmd_construct(args) -> int:
                                 load_graph(args.g2, args.format), args.r)
     else:
         pair = cons.corollary52_family(args.c)
-    print(json.dumps(pair.to_json(), indent=2, sort_keys=True))
+    _write_json(pair.to_json())
     return 0
 
 
 def _cmd_skew_nullity(args) -> int:
     g = load_graph(args.input, args.format)
     witness = max_nullity_witness_search(g, budget=args.budget, seed=args.seed)
-    print(json.dumps(witness.to_json(), indent=2, sort_keys=True))
+    _write_json(witness.to_json())
     return 0
 
 
@@ -262,40 +272,19 @@ def _cmd_verify_paper(args) -> int:
     print(f"{len(reports)} claims: {summary['pass']} pass, "
           f"{summary['fail']} fail, {summary['skipped']} skipped")
     if args.json:
-        payload = {"claims": [r.to_json() for r in reports],
-                   "summary": summary,
-                   "version": claims_mod.VERSION}
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json({"claims": [r.to_json() for r in reports], "summary": summary,
+                     "version": claims_mod.VERSION}, args.json)
     return 0 if summary["fail"] == 0 and summary["skipped"] == 0 else 1
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "zf": _cmd_zf,
-    "closure": _cmd_closure,
-    "charpoly": _cmd_charpoly,
-    "cospectral": _cmd_cospectral,
-    "iso": _cmd_iso,
-    "gm-switch": _cmd_gm_switch,
-    "construct": _cmd_construct,
-    "skew-nullity": _cmd_skew_nullity,
-    "verify-paper": _cmd_verify_paper,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
         if getattr(args, "json", None):
             try:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    json.dump({"error": str(exc)}, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
+                _write_json({"error": str(exc)}, args.json)
             except OSError:
                 pass
         print(f"error: {exc}", file=sys.stderr)

@@ -152,9 +152,9 @@ class Graph(Record):
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Iterable[int]):
-        adj = tuple(adj)
         if not 0 <= n <= ORDER_CAP:
             raise OrderCapError(f"order {n} outside 0..{ORDER_CAP}")
+        adj = tuple(adj)
         if len(adj) != n:
             raise GraphError(f"{len(adj)} adjacency rows for order {n}")
         full = (1 << n) - 1
@@ -201,6 +201,7 @@ class Graph(Record):
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Graph of order ``n`` with ``edges``; the order is checked before ``edges`` is read."""
     if not 0 <= n <= ORDER_CAP:
         raise OrderCapError(f"order {n} outside 0..{ORDER_CAP}")
     rows = [0] * n
@@ -219,36 +220,37 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 # ---------------------------------------------------------------------------
 
 def empty(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return from_edges(n, ())
 
 
 def path(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
-    return from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    if m < 0 or n < 0:
+        raise GraphError(f"complete_bipartite parts need order >= 0, got {m} and {n}")
+    return from_edges(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def circulant(n: int, offsets: Iterable[int]) -> Graph:
     if n < 1:
         raise GraphError("circulant needs at least 1 vertex")
-    edges = []
+    offsets = tuple(offsets)
     for s in offsets:
         if not 0 < s % n:
             raise GraphError(f"circulant offset {s} is 0 mod {n}")
-        edges.extend((i, (i + s) % n) for i in range(n))
-    return from_edges(n, edges)
+    return from_edges(n, ((i, (i + s) % n) for s in offsets for i in range(n)))
 
 
 def grid_lattice(s: int) -> Graph:
@@ -319,10 +321,6 @@ def build_named(name: str, *params: int) -> Graph:
         raise GraphError(f"{name} takes {arity} parameter(s), got {len(params)}")
     if name == "circulant" and len(params) < 2:
         raise GraphError("circulant takes n followed by at least one offset")
-    for p in params:
-        # every parameter is an order or a circulant offset (taken modulo the order)
-        if not 0 <= p <= ORDER_CAP:
-            raise GraphError(f"parameter {p} for {name} outside 0..{ORDER_CAP}")
     return fn(params)
 
 

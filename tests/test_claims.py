@@ -3,6 +3,8 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +210,9 @@ def test_claim_specs_can_be_replaced_field_by_field():
     assert (swapped.description, swapped.tag, swapped.expected) == \
         (spec.description, spec.tag, spec.expected)
     assert swapped.fn(5) == (5, {}) and spec.fn is not swapped.fn
+
+
+def test_version_is_written_once_in_code_and_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert zfforge.__version__ == claims.VERSION == declared

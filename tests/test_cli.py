@@ -10,7 +10,8 @@ import pytest
 from zfforge import claims
 from zfforge.cli import load_graph, main
 from zfforge.forcing import ForcingCertificate, verify_certificate
-from zfforge.graphs import cartesian, complete, cycle, emit_graph6, fig1_left, parse_graph6, path
+from zfforge.graphs import (OrderCapError, cartesian, complete, cycle, emit_graph6, fig1_left,
+                            parse_graph6, path)
 
 
 def run(capsys, *argv):
@@ -326,6 +327,38 @@ def test_verify_paper_one_claim_with_two_jobs_runs_without_a_pool(capsys, monkey
     assert out.split()[:2] == ["pass", "fig1.Z.left"]
 
 
+def test_verify_paper_starts_at_most_one_worker_per_claim(capsys, monkeypatch):
+    import concurrent.futures
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run(capsys, "verify-paper", "--only", "fig1.Z.", "--jobs", "64")
+    assert asked == [2]
+    assert (code, out) == run(capsys, "verify-paper", "--only", "fig1.Z.", "--jobs", "1")[:2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["join-family", "--g1", "fig1_left", "--g2", "fig1_right", "--r", "1000000"],
+    ["tensor-family", "--base", "ex32_G", "--r", "1000000"],
+    ["theorem51", "--m", "100000000"]], ids=["join-family", "tensor-family", "theorem51"])
+def test_construct_refuses_a_family_parameter_past_the_cap_before_building(capsys, argv):
+    code, _out, err = run(capsys, "construct", *argv)
+    assert code == 1 and "order" in err
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_skew_nullity_budget_below_one_is_usage_error(capsys, budget):
     with pytest.raises(SystemExit) as exc:
@@ -368,6 +401,12 @@ def test_load_graph_formats(tmp_path):
     g6_file.write_text(emit_graph6(fig1_left()) + "\n")
     assert load_graph(str(g6_file)) == fig1_left()
     assert load_graph(str(edge_file), fmt="edgelist") == path(3)
+    # an indented comment is a comment to the sniffer, as it is to the edge-list parser
+    commented = tmp_path / "commented.txt"
+    commented.write_text("0 1\n  # note\n1 2\n")
+    assert load_graph(str(commented)) == load_graph(str(commented), fmt="edgelist") == path(3)
+    with pytest.raises(OrderCapError):
+        load_graph("path:65")
     with pytest.raises(ValueError):
         load_graph("fig1_left", fmt="nonsense")
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -756,3 +757,31 @@ def test_order_cap_on_products():
         join(empty(40), empty(40))
     with pytest.raises(OrderCapError):
         line_graph(complete(13))
+
+
+@pytest.mark.parametrize("name, args, order", [
+    ("path", (10 ** 9,), 10 ** 9), ("cycle", (10 ** 9,), 10 ** 9),
+    ("complete", (10 ** 6,), 10 ** 6), ("complete_bipartite", (10 ** 5, 10 ** 5), 2 * 10 ** 5),
+    ("empty", (10 ** 9,), 10 ** 9), ("circulant", (10 ** 9, [1]), 10 ** 9)])
+def test_builders_check_the_order_before_building_any_edge(name, args, order):
+    build = getattr(graphs, name)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapError, match=f"order {order} outside 0..64"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_builder_parameters_outside_the_cap():
+    # circulant offsets count modulo the order, so any offset not 0 mod n is valid
+    assert build_named("circulant", 8, 100) == circulant(8, [4])
+    assert build_named("circulant", 8, -3) == circulant(8, [5])
+    with pytest.raises(OrderCapError, match="order 65 outside 0..64"):
+        build_named("path", 65)
+    with pytest.raises(OrderCapError, match="order -1 outside 0..64"):
+        build_named("complete", -1)
+    with pytest.raises(GraphError, match="parts need order >= 0, got -1 and 3"):
+        build_named("complete_bipartite", -1, 3)
