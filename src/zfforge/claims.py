@@ -46,7 +46,6 @@ class ClaimReport(graphs.Record):
     # status is "pass", "fail" or "skipped-budget"
     __slots__ = ("claim_id", "description", "expected", "tag", "computed", "status",
                  "certificates", "wall_time")
-    to_json = graphs.Record._as_dict
 
 
 # the one dataclass in the package: the traced benchmark rebuilds each entry

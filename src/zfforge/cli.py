@@ -17,9 +17,12 @@ from typing import Optional
 from . import claims as claims_mod
 from . import constructions as cons
 from . import graphs
-from .forcing import closure, rule_from_name, zero_forcing_number
+from .forcing import Rule, closure, zero_forcing_number
 from .skew_rank import max_nullity_witness_search
-from .spectra import char_poly, kind_from_letter
+from .spectra import MatrixKind, char_poly
+
+_MATRICES = {"A": MatrixKind.ADJACENCY, "L": MatrixKind.LAPLACIAN,
+             "Q": MatrixKind.SIGNLESS_LAPLACIAN}
 
 
 def load_graph(spec: str, fmt: str = "auto") -> graphs.Graph:
@@ -103,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charpoly", help="exact characteristic polynomial")
     p.set_defaults(run=_cmd_charpoly)
     p.add_argument("input")
-    p.add_argument("--matrix", default="A", choices=["A", "L", "Q"])
+    p.add_argument("--matrix", default="A", choices=_MATRICES)
     _add_input_format(p)
 
     p = sub.add_parser("cospectral", help="exact cospectrality of two graphs")
     p.set_defaults(run=_cmd_cospectral)
     p.add_argument("input1")
     p.add_argument("input2")
-    p.add_argument("--matrix", default="A", choices=["A", "L", "Q"])
+    p.add_argument("--matrix", default="A", choices=_MATRICES)
     _add_input_format(p)
 
     p = sub.add_parser("iso", help="isomorphism with mapping witness")
@@ -183,7 +186,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_zf(args) -> int:
     g = load_graph(args.input, args.format)
-    result = zero_forcing_number(g, rule_from_name(args.rule))
+    result = zero_forcing_number(g, Rule(args.rule))
     print(result.value)
     if args.certificate:
         _write_json(result.witness.to_json(), args.certificate)
@@ -193,7 +196,7 @@ def _cmd_zf(args) -> int:
 def _cmd_closure(args) -> int:
     g = load_graph(args.input, args.format)
     initial = _parse_vertex_list(args.set)
-    final, cert = closure(g, rule_from_name(args.rule), initial)
+    final, cert = closure(g, Rule(args.rule), initial)
     _write_json({"final": sorted(graphs.bits(final)), "all_blue": final == g.full_mask,
                  "certificate": cert.to_json()})
     return 0
@@ -201,12 +204,12 @@ def _cmd_closure(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     g = load_graph(args.input, args.format)
-    print(json.dumps(char_poly(g, kind_from_letter(args.matrix)).to_json()))
+    print(json.dumps(char_poly(g, _MATRICES[args.matrix]).to_json()))
     return 0
 
 
 def _cmd_cospectral(args) -> int:
-    kind = kind_from_letter(args.matrix)
+    kind = _MATRICES[args.matrix]
     g = load_graph(args.input1, args.format)
     h = load_graph(args.input2, args.format)
     pg, ph = char_poly(g, kind), char_poly(h, kind)

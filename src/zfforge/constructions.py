@@ -28,8 +28,7 @@ from typing import Optional, Sequence
 
 from . import graphs
 from .graphs import (Graph, Record, bits, cartesian, complete, cycle, disjoint_union,
-                     emit_graph6, fig1_left, fig1_right, is_connected,
-                     is_isomorphic, join, mask_from, path)
+                     fig1_left, fig1_right, is_connected, is_isomorphic, join, mask_from, path)
 from .forcing import Rule, zero_forcing_number
 from .spectra import MatrixKind, cospectral
 from .skew_rank import max_nullity_witness_search
@@ -68,10 +67,8 @@ class SwitchingPartition(Record):
         return not self.issues
 
     def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "part_counts": [list(row) for row in self.part_counts],
-                "outside_counts": {str(v): list(c) for v, c in self.outside_counts},
-                "issues": list(self.issues)}
+        return {**super().to_json(), "ok": self.ok,
+                "outside_counts": {str(v): list(c) for v, c in self.outside_counts}}
 
 
 def switching_partition(g: Graph, parts: Sequence[int]) -> SwitchingPartition:
@@ -173,7 +170,6 @@ def planted_switching_instance(rng: random.Random, n_min: int = 6, n_max: int = 
 class Expected(Record):
     # tag is "paper" for values carried by the source claims, "derived" otherwise
     __slots__ = ("name", "value", "tag")
-    to_json = Record._as_dict
 
 
 class ConstructionPair(Record):
@@ -189,12 +185,8 @@ class ConstructionPair(Record):
             raise ValueError("construction pairs must have equal order")
 
     def to_json(self) -> dict:
-        out = {"provenance": self.provenance,
-               "params": dict(self.params),
-               "g": emit_graph6(self.g),
-               "g_prime": emit_graph6(self.g_prime),
-               "expected": [e.to_json() for e in self.expected]}
-        if self.parts:
+        out = {**super().to_json(), "params": dict(self.params)}
+        if out.pop("parts"):
             out["switching_parts"] = [sorted(bits(p)) for p in self.parts]
         return out
 
@@ -257,12 +249,8 @@ class Corollary52Report(Record):
     __slots__ = ("c", "order", "z_first", "z_second", "gap", "g1", "g2", "skipped")
 
     def to_json(self) -> dict:
-        return {"c": self.c, "order": self.order,
-                "z_first": self.z_first, "z_second": self.z_second, "gap": self.gap,
-                "g1": emit_graph6(self.g1) if self.g1 is not None else None,
-                "g2": emit_graph6(self.g2) if self.g2 is not None else None,
-                "assembled": None,  # never fits the order cap; the key stays in the report
-                "skipped": self.skipped}
+        # the assembled pair never fits the order cap; the key stays in the report
+        return {**super().to_json(), "assembled": None}
 
 
 def corollary52_family(c: int) -> Corollary52Report:
@@ -358,14 +346,6 @@ def regular_construction(k: int) -> ConstructionPair:
 class TensorFamilyResult(Record):
     __slots__ = ("graph", "base", "r", "z_minus_base", "witness", "expected")
 
-    def to_json(self) -> dict:
-        return {"graph": emit_graph6(self.graph),
-                "base": emit_graph6(self.base),
-                "r": self.r,
-                "z_minus_base": self.z_minus_base,
-                "witness": self.witness.to_json(),
-                "expected": [e.to_json() for e in self.expected]}
-
 
 def tensor_family(g: Graph, r: int, *, witness_budget: int = 4000,
                   seed: int = 0) -> TensorFamilyResult:
@@ -441,7 +421,6 @@ def shrikhande() -> Graph:
 class GridShrikhandeReport(Record):
     __slots__ = ("r", "zplus_grid", "zplus_switched", "adjacency_cospectral", "isomorphic",
                  "product_upper_bound", "product_lower_bound", "separation_holds")
-    to_json = Record._as_dict
 
 
 def grid_shrikhande_report(r: int, zplus_grid: int, zplus_switched: int) -> GridShrikhandeReport:

@@ -114,13 +114,6 @@ class Rule(enum.Enum):
     PSD = "psd"
 
 
-def rule_from_name(name: str) -> Rule:
-    try:
-        return Rule(name.lower())
-    except ValueError:
-        raise ValueError(f"rule must be standard, skew or psd; got {name!r}") from None
-
-
 class ForcingCertificate(Record):
     """Replayable trace: initial blue vertices plus ordered (actor, target) forces."""
 
@@ -129,11 +122,6 @@ class ForcingCertificate(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "initial", tuple(self.initial))
         object.__setattr__(self, "forces", tuple([(a, t) for a, t in self.forces]))
-
-    def to_json(self) -> dict:
-        return {"rule": self.rule.value,
-                "initial": list(self.initial),
-                "forces": [list(f) for f in self.forces]}
 
     @classmethod
     def from_json(cls, data: dict) -> "ForcingCertificate":

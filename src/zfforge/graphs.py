@@ -26,6 +26,7 @@ indices, so the ordering is part of the public contract.
 
 from __future__ import annotations
 
+import enum
 from typing import Iterable, Iterator, Optional
 
 ORDER_CAP = 64
@@ -97,7 +98,8 @@ class Record:
     where it also stores the sequences it is given as tuples.
     Records of one class with equal fields are equal and hash alike; a field
     can be neither assigned nor deleted; pickles and copies are rebuilt
-    through the constructor, so the checks run again.
+    through the constructor, so the checks run again; ``to_json`` writes each
+    field by the rule in ``_json``, and a subclass overrides only what differs.
     """
 
     __slots__ = ()
@@ -133,14 +135,24 @@ class Record:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._as_dict().items())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), self._values()
 
-    def _as_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
+    def to_json(self) -> dict:
+        return {name: _json(getattr(self, name)) for name in self.__slots__}
+
+
+def _json(value):
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
 class Graph(Record):
@@ -171,6 +183,9 @@ class Graph(Record):
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+    def to_json(self) -> str:
+        return emit_graph6(self)
 
     @property
     def m(self) -> int:
@@ -246,11 +261,15 @@ def complete_bipartite(m: int, n: int) -> Graph:
 def circulant(n: int, offsets: Iterable[int]) -> Graph:
     if n < 1:
         raise GraphError("circulant needs at least 1 vertex")
-    offsets = tuple(offsets)
-    for s in offsets:
-        if not 0 < s % n:
-            raise GraphError(f"circulant offset {s} is 0 mod {n}")
-    return from_edges(n, ((i, (i + s) % n) for s in offsets for i in range(n)))
+
+    def edges():
+        for s in offsets:
+            if not 0 < s % n:
+                raise GraphError(f"circulant offset {s} is 0 mod {n}")
+            for i in range(n):
+                yield i, (i + s) % n
+
+    return from_edges(n, edges())
 
 
 def grid_lattice(s: int) -> Graph:

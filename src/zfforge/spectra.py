@@ -38,18 +38,6 @@ class MatrixKind(enum.Enum):
     SIGNLESS_LAPLACIAN = "signless_laplacian"
 
 
-_KIND_LETTERS = {"A": MatrixKind.ADJACENCY,
-                 "L": MatrixKind.LAPLACIAN,
-                 "Q": MatrixKind.SIGNLESS_LAPLACIAN}
-
-
-def kind_from_letter(letter: str) -> MatrixKind:
-    try:
-        return _KIND_LETTERS[letter.upper()]
-    except KeyError:
-        raise ValueError(f"matrix kind must be one of A, L, Q; got {letter!r}") from None
-
-
 class CharPoly(Record):
     """Monic integer characteristic polynomial, coefficients degree-descending."""
 
@@ -158,7 +146,6 @@ class RegularCospectralReport(Record):
 
     __slots__ = ("regular", "degree", "adjacency_cospectral", "laplacian_verified",
                  "signless_verified", "normalized_laplacian_derived")
-    to_json = Record._as_dict
 
 
 def regular_cospectral_report(g: Graph, h: Graph) -> RegularCospectralReport:

@@ -9,9 +9,10 @@ import pytest
 
 from zfforge import claims
 from zfforge.cli import load_graph, main
-from zfforge.forcing import ForcingCertificate, verify_certificate
+from zfforge.forcing import ForcingCertificate, Rule, verify_certificate, zero_forcing_number
 from zfforge.graphs import (OrderCapError, cartesian, complete, cycle, emit_graph6, fig1_left,
                             parse_graph6, path)
+from zfforge.spectra import MatrixKind, char_poly, cospectral
 
 
 def run(capsys, *argv):
@@ -79,6 +80,36 @@ def test_cospectral(capsys):
     payload = json.loads(out)
     assert payload["cospectral"] is True
     assert payload["char_poly_1"] == payload["char_poly_2"]
+
+
+@pytest.mark.parametrize("rule", list(Rule), ids=lambda rule: rule.value)
+def test_zf_rule_reaches_the_solver(capsys, rule):
+    code, out, _ = run(capsys, "zf", "fig1_left", "--rule", rule.value)
+    assert code == 0 and out.strip() == str(zero_forcing_number(fig1_left(), rule).value)
+
+
+MATRIX_LETTERS = [("A", MatrixKind.ADJACENCY), ("L", MatrixKind.LAPLACIAN),
+                  ("Q", MatrixKind.SIGNLESS_LAPLACIAN)]
+
+
+# L and Q give one char poly on a bipartite graph (C6, the ex32 pair), so each
+# test also takes a graph that is not bipartite (C5, the fig1 pair)
+@pytest.mark.parametrize("letter, kind", MATRIX_LETTERS)
+@pytest.mark.parametrize("spec", ["cycle:6", "cycle:5"])
+def test_charpoly_matrix_letter_picks_the_kind(capsys, letter, kind, spec):
+    code, out, _ = run(capsys, "charpoly", spec, "--matrix", letter)
+    assert code == 0 and json.loads(out) == char_poly(load_graph(spec), kind).to_json()
+
+
+@pytest.mark.parametrize("letter, kind", MATRIX_LETTERS)
+@pytest.mark.parametrize("specs", [("ex32_G", "ex32_Gprime"), ("fig1_left", "fig1_right")])
+def test_cospectral_matrix_letter_picks_the_kind(capsys, letter, kind, specs):
+    code, out, _ = run(capsys, "cospectral", *specs, "--matrix", letter)
+    payload = json.loads(out)
+    g, h = map(load_graph, specs)
+    assert code == 0 and payload["cospectral"] is cospectral(g, h, kind)
+    assert payload["char_poly_1"] == char_poly(g, kind).to_json()
+    assert payload["char_poly_2"] == char_poly(h, kind).to_json()
 
 
 def test_iso(capsys):

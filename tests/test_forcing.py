@@ -5,9 +5,8 @@ import random
 import pytest
 
 from zfforge.forcing import (BudgetExceededError, ForcingCertificate, Rule,
-                             _chunk_tables, _close, closure, rule_from_name,
-                             verify_certificate, zero_forcing_number,
-                             zf_join_formula_check)
+                             _chunk_tables, _close, closure, verify_certificate,
+                             zero_forcing_number, zf_join_formula_check)
 from zfforge import forcing, graphs
 from zfforge.constructions import shrikhande
 from zfforge.graphs import (automorphism_group, bits, cartesian, circulant, complement,
@@ -273,13 +272,6 @@ def test_certificate_json_roundtrip():
     data = result.witness.to_json()
     assert ForcingCertificate.from_json(data) == result.witness
     assert data["rule"] == "psd"
-
-
-def test_rule_from_name():
-    assert rule_from_name("standard") is Rule.STANDARD
-    assert rule_from_name("SKEW") is Rule.SKEW
-    with pytest.raises(ValueError):
-        rule_from_name("fractional")
 
 
 def test_lowest_pair_tie_break():

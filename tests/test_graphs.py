@@ -762,7 +762,8 @@ def test_order_cap_on_products():
 @pytest.mark.parametrize("name, args, order", [
     ("path", (10 ** 9,), 10 ** 9), ("cycle", (10 ** 9,), 10 ** 9),
     ("complete", (10 ** 6,), 10 ** 6), ("complete_bipartite", (10 ** 5, 10 ** 5), 2 * 10 ** 5),
-    ("empty", (10 ** 9,), 10 ** 9), ("circulant", (10 ** 9, [1]), 10 ** 9)])
+    ("empty", (10 ** 9,), 10 ** 9), ("circulant", (10 ** 9, [1]), 10 ** 9),
+    ("circulant", (10 ** 6, range(1, 10 ** 6)), 10 ** 6)])
 def test_builders_check_the_order_before_building_any_edge(name, args, order):
     build = getattr(graphs, name)
     tracemalloc.start()
@@ -779,6 +780,9 @@ def test_builder_parameters_outside_the_cap():
     # circulant offsets count modulo the order, so any offset not 0 mod n is valid
     assert build_named("circulant", 8, 100) == circulant(8, [4])
     assert build_named("circulant", 8, -3) == circulant(8, [5])
+    # the order is checked before any offset is read
+    with pytest.raises(OrderCapError, match="order 100 outside 0..64"):
+        circulant(100, [0])
     with pytest.raises(OrderCapError, match="order 65 outside 0..64"):
         build_named("path", 65)
     with pytest.raises(OrderCapError, match="order -1 outside 0..64"):

@@ -12,7 +12,7 @@ from zfforge.graphs import (complete, complete_bipartite, cycle, disjoint_union,
                             grid_lattice, path, relabel, tensor)
 from zfforge.randgraphs import random_graph, random_regular_graph
 from zfforge.spectra import (CharPoly, MatrixKind, char_poly, cospectral,
-                             kind_from_letter, laplacian_join_identity_check,
+                             laplacian_join_identity_check,
                              regular_cospectral_report, regular_join_adjacency_check)
 
 from oracles import dense_berkowitz, det_exact, integer_roots, matrix_of
@@ -362,11 +362,3 @@ def test_charpoly_json_roundtrip_big_coefficients():
     p = char_poly(grid_lattice(4), MatrixKind.SIGNLESS_LAPLACIAN)
     assert CharPoly.from_json(p.to_json()) == p
     assert all(isinstance(c, str) for c in p.to_json())
-
-
-def test_kind_from_letter():
-    assert kind_from_letter("A") is MatrixKind.ADJACENCY
-    assert kind_from_letter("l") is MatrixKind.LAPLACIAN
-    assert kind_from_letter("Q") is MatrixKind.SIGNLESS_LAPLACIAN
-    with pytest.raises(ValueError):
-        kind_from_letter("X")

@@ -2,10 +2,12 @@
 
 Each record is equal to another only when both are of the same class with
 equal fields, equal records hash alike, fields can be neither assigned nor
-deleted, and a pickle or copy round trip gives an equal record.
+deleted, and a pickle or copy round trip gives an equal record.  Every
+record writes JSON types only, a graph anywhere inside it as its graph6.
 """
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 
@@ -14,9 +16,9 @@ import pytest
 from zfforge.claims import ClaimReport
 from zfforge.constructions import (ConstructionPair, Corollary52Report, Expected,
                                    GridShrikhandeReport, SwitchingPartition,
-                                   TensorFamilyResult)
+                                   TensorFamilyResult, corollary52_family)
 from zfforge.forcing import ForcingCertificate, Rule, ZfResult
-from zfforge.graphs import Graph, GraphError, OrderCapError, path
+from zfforge.graphs import Graph, GraphError, OrderCapError, emit_graph6, path
 from zfforge.skew_rank import SkewWitness
 from zfforge.spectra import CharPoly, RegularCospectralReport
 
@@ -118,6 +120,26 @@ def test_value_repr(cls, fields, other):
     else:
         shown = ", ".join(f"{name}={v!r}" for name, v in fields.items())
         assert repr(value) == f"{cls.__qualname__}({shown})"
+
+
+@pytest.mark.parametrize("cls, fields, other", SAMPLES, ids=IDS)
+def test_value_json_holds_json_types_only(cls, fields, other):
+    data = cls(**fields).to_json()
+    assert json.loads(json.dumps(data)) == data
+
+
+def test_graph_json_is_its_graph6():
+    g = Graph(3, (0b110, 0b001, 0b001))
+    assert g.to_json() == emit_graph6(g)
+    data = ConstructionPair(g, path(3), "test", ()).to_json()
+    assert data["g"] == emit_graph6(g) and data["g_prime"] == emit_graph6(path(3))
+
+
+def test_corollary52_json_without_graphs():
+    # past the order cap the report keeps its graph keys, written as null
+    data = corollary52_family(5).to_json()
+    assert data["g1"] is None and data["g2"] is None and data["assembled"] is None
+    assert data.keys() == corollary52_family(3).to_json().keys()
 
 
 @pytest.mark.parametrize("args, kwargs", [
