@@ -133,22 +133,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_construct)
     families = p.add_subparsers(dest="family", required=True)
     f = families.add_parser("theorem51")
+    # an empty --g1 or --g2 means the default seed, as leaving it out does
+    f.set_defaults(build=lambda a: cons.theorem51_build(
+        load_graph(a.g1, a.format) if a.g1 else None,
+        load_graph(a.g2, a.format) if a.g2 else None, a.m))
     f.add_argument("--g1")
     f.add_argument("--g2")
     f.add_argument("--m", type=int)
     _add_input_format(f)
-    families.add_parser("regular6k").add_argument("--k", type=int, required=True)
+    f = families.add_parser("regular6k")
+    f.set_defaults(build=lambda a: cons.regular_construction(a.k))
+    f.add_argument("--k", type=int, required=True)
     f = families.add_parser("tensor-family")
+    f.set_defaults(build=lambda a: cons.tensor_family(load_graph(a.base, a.format), a.r,
+                                                      seed=a.seed))
     f.add_argument("--base", required=True)
     f.add_argument("--r", type=int, required=True)
     f.add_argument("--seed", type=int, default=0)
     _add_input_format(f)
     f = families.add_parser("join-family")
+    f.set_defaults(build=lambda a: cons.join_family(load_graph(a.g1, a.format),
+                                                    load_graph(a.g2, a.format), a.r))
     f.add_argument("--g1", required=True)
     f.add_argument("--g2", required=True)
     f.add_argument("--r", type=int, required=True)
     _add_input_format(f)
-    families.add_parser("corollary52").add_argument("--c", type=int, required=True)
+    f = families.add_parser("corollary52")
+    f.set_defaults(build=lambda a: cons.corollary52_family(a.c))
+    f.add_argument("--c", type=int, required=True)
 
     p = sub.add_parser("skew-nullity", help="maximum-nullity witness search")
     p.set_defaults(run=_cmd_skew_nullity)
@@ -239,20 +251,7 @@ def _cmd_gm_switch(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.family == "theorem51":
-        g1 = load_graph(args.g1, args.format) if args.g1 else None
-        g2 = load_graph(args.g2, args.format) if args.g2 else None
-        pair = cons.theorem51_build(g1, g2, args.m)
-    elif args.family == "regular6k":
-        pair = cons.regular_construction(args.k)
-    elif args.family == "tensor-family":
-        pair = cons.tensor_family(load_graph(args.base, args.format), args.r, seed=args.seed)
-    elif args.family == "join-family":
-        pair = cons.join_family(load_graph(args.g1, args.format),
-                                load_graph(args.g2, args.format), args.r)
-    else:
-        pair = cons.corollary52_family(args.c)
-    _write_json(pair.to_json())
+    _write_json(args.build(args).to_json())
     return 0
 
 

@@ -24,6 +24,7 @@ forcing behaviour while preserving a spectrum:
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import graphs
@@ -308,30 +309,23 @@ def regular_construction(k: int) -> ConstructionPair:
     """
     if k < 2:
         raise ValueError("regular_construction needs k >= 2")
-    if 6 * k > graphs.ORDER_CAP:
-        raise graphs.OrderCapError(f"order {6 * k} exceeds cap {graphs.ORDER_CAP}")
     nh = 3 * k - 1
-    a = {i: nh + i for i in range(k + 1)}
-    b = {i: nh + (k + 1) + i for i in range(k + 1)}
-    c = {i: nh + 2 * (k + 1) + (i - 1) for i in range(1, k)}
-
-    edges = [(i, (i + d) % nh) for i in range(nh) for d in range(k, 2 * k)]
-    edges += [(a[i], a[j]) for i in range(k + 1) for j in range(i + 1, k + 1)]
-    edges += [(a[i], b[j]) for i in range(k + 1) for j in range(k + 1) if i != j]
-    for i in range(1, k):
-        edges.append((c[i], 0))
-        edges.extend((c[i], j) for j in range(k, nh))
-    for i in range(k):
-        edges.extend((b[i], j) for j in range(1, k))
-    edges.extend((b[k], j) for j in range(2 * k, nh))
-    edges.extend((b[i], k + i - 1) for i in range(1, k + 1))
-    edges.append((b[0], 0))
-
+    a, b, c = nh, nh + k + 1, nh + 2 * k + 1  # a_i, b_i and c_i are vertices a + i, b + i, c + i
+    # lazy, so from_edges refuses an order past the cap before any edge exists
+    edges = chain(
+        ((i, (i + d) % nh) for i in range(nh) for d in range(k, 2 * k)),
+        ((a + i, a + j) for i in range(k + 1) for j in range(i + 1, k + 1)),
+        ((a + i, b + j) for i in range(k + 1) for j in range(k + 1) if i != j),
+        ((c + i, j) for i in range(1, k) for j in (0, *range(k, nh))),
+        ((b + i, j) for i in range(k) for j in range(1, k)),
+        ((b + k, j) for j in range(2 * k, nh)),
+        ((b + i, k + i - 1) for i in range(1, k + 1)),
+        [(b, 0)])
     g = graphs.from_edges(6 * k, edges)
 
     if g.is_regular() != 2 * k:
         raise AssertionError(f"construction for k={k} is not {2 * k}-regular")
-    xmask = mask_from(range(nh)) | mask_from(a.values())
+    xmask = (1 << (nh + k + 1)) - 1  # the core and the clique, vertices 0 .. a + k
     g_prime = gm_switch(g, [xmask])
     expected = (Expected("Z(g)", 4 * k - 2, "paper"),
                 Expected("Z(g_prime)_upper_bound", 4 * k - 3, "paper"),

@@ -27,6 +27,7 @@ indices, so the ordering is part of the public contract.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 ORDER_CAP = 64
@@ -73,6 +74,11 @@ class UnknownGraphError(GraphError):
 
 class OrderCapError(GraphError):
     """Construction would exceed the 64-vertex bit-row cap."""
+
+
+def _check_order(n: int) -> None:
+    if not 0 <= n <= ORDER_CAP:
+        raise OrderCapError(f"order {n} outside 0..{ORDER_CAP}")
 
 
 def mask_from(vertices: Iterable[int]) -> int:
@@ -159,13 +165,14 @@ class Graph(Record):
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency rows.
 
     Rows are symmetric and irreflexive; both are checked at construction.
+    The order is checked before ``adj`` is read, so an operator may pass its
+    rows lazily and an order past the cap is refused before any row is built.
     """
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Iterable[int]):
-        if not 0 <= n <= ORDER_CAP:
-            raise OrderCapError(f"order {n} outside 0..{ORDER_CAP}")
+        _check_order(n)
         adj = tuple(adj)
         if len(adj) != n:
             raise GraphError(f"{len(adj)} adjacency rows for order {n}")
@@ -217,8 +224,7 @@ class Graph(Record):
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph of order ``n`` with ``edges``; the order is checked before ``edges`` is read."""
-    if not 0 <= n <= ORDER_CAP:
-        raise OrderCapError(f"order {n} outside 0..{ORDER_CAP}")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -347,45 +353,31 @@ def build_named(name: str, *params: int) -> Graph:
 # operators
 # ---------------------------------------------------------------------------
 
-def _check_cap(n: int, what: str) -> None:
-    if n > ORDER_CAP:
-        raise OrderCapError(f"{what} would have order {n} > cap {ORDER_CAP}")
+def _spread(g: Graph, width: int) -> Iterator[int]:
+    """The rows of g, lazily, with bit v moved to bit v * width: row u marks
+    the width-bit block of each neighbour of u in a product row."""
+    return (sum([1 << v * width for v in bits(row)]) for row in g.adj)
 
 
 def tensor(g: Graph, h: Graph) -> Graph:
     """Tensor (categorical) product: (u,u') ~ (v,v') iff u~v and u'~v'."""
-    _check_cap(g.n * h.n, "tensor product")
-    rows = []
-    for u in range(g.n):
-        for up in range(h.n):
-            row = 0
-            for v in bits(g.adj[u]):
-                row |= h.adj[up] << (v * h.n)
-            rows.append(row)
-    return Graph(g.n * h.n, rows)
+    # row (u, u') is h's row u' in the block of every v ~ u; an h row fits in
+    # one block, so multiplying by the spread row places the copies without carries
+    return Graph(g.n * h.n, (s * row for s in _spread(g, h.n) for row in h.adj))
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (u,u') ~ (v,v') iff u=v and u'~v', or u'=v' and u~v."""
-    _check_cap(g.n * h.n, "cartesian product")
-    rows = []
-    for u in range(g.n):
-        for up in range(h.n):
-            row = h.adj[up] << (u * h.n)
-            for v in bits(g.adj[u]):
-                row |= 1 << (v * h.n + up)
-            rows.append(row)
-    return Graph(g.n * h.n, rows)
+    return Graph(g.n * h.n, (row << u * h.n | s << up for u, s in enumerate(_spread(g, h.n))
+                             for up, row in enumerate(h.adj)))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides; g comes first."""
-    _check_cap(g.n + h.n, "join")
     hfull = ((1 << h.n) - 1) << g.n
     gfull = (1 << g.n) - 1
-    rows = [g.adj[u] | hfull for u in range(g.n)]
-    rows += [(h.adj[u] << g.n) | gfull for u in range(h.n)]
-    return Graph(g.n + h.n, rows)
+    return Graph(g.n + h.n, chain((row | hfull for row in g.adj),
+                                  (row << g.n | gfull for row in h.adj)))
 
 
 def iterated_join(g: Graph, k: int) -> Graph:
@@ -399,9 +391,7 @@ def iterated_join(g: Graph, k: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    _check_cap(g.n + h.n, "disjoint union")
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, rows)
+    return Graph(g.n + h.n, chain(g.adj, (row << g.n for row in h.adj)))
 
 
 def complement(g: Graph) -> Graph:
@@ -411,13 +401,17 @@ def complement(g: Graph) -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Vertices are the edges of g; adjacent when they share an endpoint."""
-    es = g.edges()
-    _check_cap(len(es), "line graph")
-    incident = [0] * g.n
-    for e, (u, v) in enumerate(es):
-        incident[u] |= 1 << e
-        incident[v] |= 1 << e
-    return Graph(len(es), [(incident[u] | incident[v]) ^ 1 << e for e, (u, v) in enumerate(es)])
+
+    def rows():
+        es = g.edges()
+        incident = [0] * g.n
+        for e, (u, v) in enumerate(es):
+            incident[u] |= 1 << e
+            incident[v] |= 1 << e
+        for e, (u, v) in enumerate(es):
+            yield (incident[u] | incident[v]) ^ 1 << e
+
+    return Graph(g.m, rows())
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
@@ -725,8 +719,7 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = ord(s[0]) - 63
         body = s[1:]
-    if not 0 <= n <= ORDER_CAP:
-        raise OrderCapError(f"graph6 order {n} outside 0..{ORDER_CAP}")
+    _check_order(n)  # here, not only in Graph: an over-cap header fails the body length first
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise GraphError("graph6 body has wrong length")

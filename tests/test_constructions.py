@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -205,8 +206,17 @@ def test_regular_construction_structure():
         assert cospectral(pair.g, pair.g_prime, MatrixKind.ADJACENCY)
     with pytest.raises(ValueError, match="k >= 2"):
         regular_construction(1)
-    with pytest.raises(OrderCapError):
+    with pytest.raises(OrderCapError, match="order 66 outside 0..64"):
         regular_construction(ORDER_CAP // 6 + 1)
+    # the edges are lazy, so an order past the cap is refused before any edge exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapError, match="order 6000000000 outside 0..64"):
+            regular_construction(10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_regular_construction_k2_values():
@@ -264,10 +274,10 @@ def test_families_check_their_order_before_solving(monkeypatch):
         raise AssertionError("solved before the order cap was checked")
 
     monkeypatch.setattr(constructions, "zero_forcing_number", no_solve)
-    with pytest.raises(OrderCapError):
-        join_family(fig1_left(), fig1_right(), 55)  # order 65
-    with pytest.raises(OrderCapError):
-        tensor_family(ex32_g(), 10)  # order 70
+    with pytest.raises(OrderCapError, match="order 65 outside 0..64"):
+        join_family(fig1_left(), fig1_right(), 55)
+    with pytest.raises(OrderCapError, match="order 70 outside 0..64"):
+        tensor_family(ex32_g(), 10)
 
 
 def test_join_family_preconditions():

@@ -704,7 +704,7 @@ def test_graph6_header_and_errors():
     assert parse_graph6(">>graph6<<A_") == complete(2)
     with pytest.raises(GraphError):
         parse_graph6("A")  # truncated body
-    with pytest.raises(OrderCapError):
+    with pytest.raises(OrderCapError, match="order 4096 outside 0..64"):
         parse_graph6("~" + chr(63 + 1) + chr(63) + chr(63))  # order 4096
     with pytest.raises(GraphError, match="unsupported graph6 size encoding"):
         parse_graph6("~~??????" + "?" * 4)  # 6-byte order prefix
@@ -763,7 +763,11 @@ def test_order_cap_on_products():
     ("path", (10 ** 9,), 10 ** 9), ("cycle", (10 ** 9,), 10 ** 9),
     ("complete", (10 ** 6,), 10 ** 6), ("complete_bipartite", (10 ** 5, 10 ** 5), 2 * 10 ** 5),
     ("empty", (10 ** 9,), 10 ** 9), ("circulant", (10 ** 9, [1]), 10 ** 9),
-    ("circulant", (10 ** 6, range(1, 10 ** 6)), 10 ** 6)])
+    ("circulant", (10 ** 6, range(1, 10 ** 6)), 10 ** 6),
+    # the operators hand Graph their rows lazily, and Graph checks the order first
+    ("tensor", (complete(64), complete(64)), 4096), ("cartesian", (complete(64), complete(64)), 4096),
+    ("join", (complete(64), complete(1)), 65), ("disjoint_union", (complete(64), complete(1)), 65),
+    ("line_graph", (complete(13),), 78), ("line_graph", (complete(64),), 2016)])
 def test_builders_check_the_order_before_building_any_edge(name, args, order):
     build = getattr(graphs, name)
     tracemalloc.start()
