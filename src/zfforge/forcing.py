@@ -54,8 +54,28 @@ would be empty, and a leaf never reads its group.  The search stops
 early when the incumbent meets the proven lower bound in the component's
 minimum degree delta: Z >= delta, Z_plus >= treewidth >= delta and
 Z_minus >= delta - 1.  Otherwise it ends only when no smaller set survives,
-so every value is decided by exhaustive proof, and the proof that nothing of
-size Z - 1 forces is made once.
+or, under the standard rule, when the wavefront below proves the incumbent
+minimum, so every value is decided by exhaustive proof, and the proof that
+nothing of size Z - 1 forces is made once.
+
+Under the standard rule that proof comes from a second exhaustive search run
+alongside, the wavefront of Butler et al. (the Sage Minimum Rank Library;
+see Brimkov, Fast and Hicks): a Dijkstra search over closed sets from the
+empty set.  From a closed set S at cost c, a move on v pays for v when it is
+white and for all but one of its white neighbours, which v then forces: it
+costs [v not in S] + max(|N(v) minus S| - 1, 0) and leads to the closure of
+S with v and N(v).  The least cost at which the whole component is reached
+is Z.  Moves that cost at least the incumbent's size are skipped, so
+running out of cheaper moves proves the incumbent minimum.  A move whose
+blue set is a closed set already reached needs no closure.  The wavefront
+starts once the search holds an incumbent above delta, and advances by one
+pop whenever its closures fall behind the search's own steps, so it spends
+at most one pop's closures more than the search itself.  When it has
+proved the minimum the search stops as soon as its incumbent meets it: the
+search only ends earlier, on the set it would have returned anyway, so
+values and witnesses are those of the fort search alone.  It runs for the
+standard rule only: under skew a vertex with one white neighbour forces for
+free and the moves multiply, and psd forces depend on white components.
 
 The branching is orbital (Ostrowski, Linderoth, Rossi and Smriglio,
 "Orbital branching", Math. Prog. 2011).  Each node carries a group of
@@ -84,13 +104,15 @@ of budget, is replaced by the identity alone, never cut short.
 
 Search effort is metered by one ``graphs.Budget`` per solve, set only by the
 ``budget`` argument: every closure evaluation and every branch node spends
-one step.  A component's search counts its steps in a local variable and
-spends them from the Budget when it ends, or at once at the first step past
-the budget, so no step costs a call.  The budget is the solver's only limit:
+one step, as does every closure the wavefront evaluates.  A component's
+search counts its steps in a local variable and spends them from the Budget
+when it ends, or at once at the first step past the budget, so no step
+costs a call.  The budget is the solver's only limit:
 no component is refused for its order.  The first step past it raises
 BudgetExceededError naming the rule, the component's order and the steps
 spent, never an approximation.  The automorphism group is found with a
-budget of its own, so ``ZfResult.explored`` counts fort-search steps only.
+budget of its own, so ``ZfResult.explored`` counts fort-search and wavefront
+steps only.
 Nothing is remembered between solves: every call searches from scratch.
 
 Certificates use a deterministic tie-break so witnesses are byte-stable: at
@@ -133,7 +155,8 @@ class ZfResult(Record):
 
     The witness replays the union of the components' final incumbents.
     ``explored`` counts closure evaluations plus branch nodes of the fort
-    search, summed over components; it is the budget the solve used.
+    search, and under the standard rule the wavefront's closure evaluations,
+    summed over components; it is the budget the solve used.
     """
 
     __slots__ = ("value", "witness", "explored")
@@ -313,7 +336,9 @@ def _lower_bound(g: Graph, rule: Rule) -> int:
 def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget) -> int:
     """Minimum forcing set of the connected graph g with chunk tables
     ``tables``, as a minimum hitting set of lazily generated forts, branching
-    on automorphism orbits (see the module docstring); returns its mask."""
+    on automorphism orbits, and under the standard rule stopped early by the
+    wavefront's proof of the minimum (see the module docstring); returns its
+    mask."""
     budget.what = f"{rule.value} search on a component of order {g.n}"
     comp = g.full_mask
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
@@ -324,6 +349,7 @@ def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget) -> int:
     # steps are counted here and spent from the budget once at the end; the
     # first step past room brings the budget to limit + 1 at once, and raises
     room, spent = budget.limit - budget.spent, 0
+    waved = 0  # steps spent by the wavefront
 
     def minimal_fort(closed: int) -> int:
         # grow the proper closed set to a maximal one; its complement is a
@@ -347,6 +373,54 @@ def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget) -> int:
                 todo &= ~grown
         return comp & ~closed
 
+    def wavefront():
+        # Dijkstra over closed sets, one pop per next(); ends once it proves
+        # the minimum, which it leaves in bound.  Every move costs at least
+        # 1, so queue[c] is complete once the pops reach it.
+        nonlocal bound, spent, waved
+        adj = g.adj
+        reached = {0: 0}  # closed set -> the least cost it was reached at
+        queue = [[0]] + [[] for _ in range(g.n)]  # [c]: the closed sets reached at cost c
+        found = comp.bit_count()  # the least cost at which a move closed comp
+        for c, level in enumerate(queue):
+            for closed in level:
+                top = min(found, best.bit_count())
+                if c + 1 >= top:  # no move from here costs less than top
+                    bound = top
+                    return
+                if reached[closed] < c:
+                    continue
+                white = comp & ~closed
+                moves = {}  # the set a move makes blue -> its least cost
+                for v, row in enumerate(adj):
+                    hit = row & white
+                    if closed >> v & 1:  # blue: pay all but one white neighbour
+                        if not hit:
+                            continue
+                        cost = c + hit.bit_count() - 1
+                        grown = closed | hit
+                    else:  # white: pay v too
+                        cost = c + (hit.bit_count() or 1)
+                        grown = closed | hit | 1 << v
+                    if cost < moves.get(grown, top):
+                        moves[grown] = cost
+                for grown, cost in moves.items():
+                    if cost >= found:
+                        continue
+                    if grown not in reached:  # else it is closed already
+                        spent += 1
+                        waved += 1
+                        if spent > room:
+                            budget.spend(room + 1)
+                        grown = _close(tables, comp, grown, False, False)
+                    if grown == comp:
+                        found = cost
+                    elif cost < reached.get(grown, top):
+                        reached[grown] = cost
+                        queue[cost].append(grown)
+                yield True
+        bound = min(found, best.bit_count())
+
     def search(chosen: int, depth: int, banned: int, unhit: list[int],
                group: list[bytes] | None) -> bool:
         # unhit: the known forts that miss chosen.  Every fort found below
@@ -355,13 +429,17 @@ def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget) -> int:
         # and map banned onto itself; None while not listed, and then banned
         # is empty and the group is all of chosen's pointwise stabiliser.
         # Returns True once the incumbent meets the lower bound.
-        nonlocal best, whole, spent
+        nonlocal best, whole, spent, wave
         left = best.bit_count() - 1 - depth  # picks that stay below the incumbent
         if left < 0:
             return False
         spent += 1 if unhit else 2  # the node, and the closure of a leaf
         if spent > room:
             budget.spend(room + 1)
+        if wave and best != comp and 2 * waved < spent and not next(wave, False):
+            wave = None  # the wavefront has proved the bound
+            if best.bit_count() == bound:
+                return True
         if not unhit:
             closed = _close(tables, comp, chosen, skew, psd)
             if closed == comp:
@@ -434,8 +512,9 @@ def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget) -> int:
                 pending.append(low.bit_length() - 1)
         return False
 
+    wave = wavefront() if rule is Rule.STANDARD else None
     search(0, 0, 0, [], None)
-    del search  # it refers to itself: free its forts now, not at a later collection
+    del search, wave  # search refers to itself: free its forts now, not at a later collection
     budget.spend(spent)
     return best
 

@@ -1,6 +1,7 @@
 """Slow reference implementations that the tests compare fast code against,
 and helpers that only the tests use."""
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -52,6 +53,48 @@ def gosper_minimum(g: Graph, rule) -> int:
             if _close(tables, g.full_mask, mask, skew, psd) == g.full_mask:
                 return k
     raise AssertionError("unreachable: the full vertex set always closes")
+
+
+def wavefront_minimum(g: Graph) -> int:
+    """Standard zero forcing number by the wavefront of Butler et al. (the
+    Sage Minimum Rank Library): a Dijkstra search over closed sets, with a
+    heap and a worklist closure over Python sets of its own, so it shares no
+    code with the fort search.  From a closed set S at cost c, a move on v
+    pays for v if it is white and for all but one of its white neighbours,
+    and leads to the closure of S with v and its neighbours; Z is the cost
+    at which the whole vertex set is first popped."""
+    nbrs = [set(bits(row)) for row in g.adj]
+    everything = frozenset(range(g.n))
+
+    def close(blue):
+        # a blue vertex with exactly one white neighbour forces it; when w
+        # turns blue, w and its blue neighbours have one white neighbour fewer
+        blue, todo = set(blue), list(blue)
+        while todo:
+            white = nbrs[todo.pop()] - blue
+            if len(white) == 1:
+                w = white.pop()
+                blue.add(w)
+                todo += [w, *nbrs[w] & blue]
+        return frozenset(blue)
+
+    start = close(())
+    reached, tie = {start: 0}, itertools.count()
+    heap = [(0, next(tie), start)]
+    while heap:
+        cost, _, closed = heapq.heappop(heap)
+        if closed == everything:
+            return cost
+        if reached[closed] < cost:
+            continue
+        for v in range(g.n):
+            white = nbrs[v] - closed
+            grown = close(closed | white | {v})
+            move = cost + (v not in closed) + max(len(white) - 1, 0)
+            if grown != closed and move < reached.get(grown, g.n + 1):
+                reached[grown] = move
+                heapq.heappush(heap, (move, next(tie), grown))
+    raise AssertionError("unreachable: a move on every vertex makes everything blue")
 
 
 def brute_force_automorphisms(g: Graph) -> set[bytes]:

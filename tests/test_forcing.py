@@ -7,8 +7,8 @@ import pytest
 from zfforge.forcing import (BudgetExceededError, ForcingCertificate, Rule,
                              _chunk_tables, _close, closure, verify_certificate,
                              zero_forcing_number, zf_join_formula_check)
-from zfforge import forcing, graphs
-from zfforge.constructions import shrikhande
+from zfforge import claims, forcing, graphs
+from zfforge.constructions import circulant_h, regular_construction, shrikhande
 from zfforge.graphs import (automorphism_group, bits, cartesian, circulant, complement,
                             complete, complete_bipartite, components, cycle,
                             disjoint_union, empty, ex32_g, ex32_gprime, fig1_left,
@@ -16,7 +16,8 @@ from zfforge.graphs import (automorphism_group, bits, cartesian, circulant, comp
                             iterated_join, join, mask_components, mask_from, path)
 from zfforge.randgraphs import random_connected_graph, random_graph
 
-from oracles import FRUCHT, PETERSEN, gosper_minimum, random_subset_mask, set_closure
+from oracles import (FRUCHT, PETERSEN, gosper_minimum, random_subset_mask, set_closure,
+                     wavefront_minimum)
 
 ALL_RULES = (Rule.STANDARD, Rule.SKEW, Rule.PSD)
 
@@ -575,16 +576,43 @@ def test_symmetry_fallbacks_give_the_same_values(monkeypatch):
 def test_orbital_branching_keeps_its_pruning():
     # steps spent with orbital branching and the last-pick rule; the search
     # without the last-pick rule took 3,136, 3,685, 5,272 and 38,907, and
-    # the branch and bound without orbits 41,371, 20,418, 24,197 and 266,891
+    # the branch and bound without orbits 41,371, 20,418, 24,197 and 266,891.
+    # The last three solves end early by the wavefront's proof of the
+    # minimum: the search alone took 250,120, 319,940 and 49,966
     pins = {"r4": (grid_lattice(4), Rule.PSD, 10, 3_088),
             "shrikhande": (shrikhande(), Rule.PSD, 9, 3_335),
             "join.iterated.fig1": (iterated_join(fig1_left(), 1), Rule.STANDARD, 16, 5_012),
-            "C4xC9": (cartesian(cycle(4), cycle(9)), Rule.STANDARD, 8, 16_993)}
+            "C4xC9": (cartesian(cycle(4), cycle(9)), Rule.STANDARD, 8, 16_993),
+            "regular6k.k5.G": (regular_construction(5).g, Rule.STANDARD, 18, 20_000),
+            "regular6k.k5.Gprime": (regular_construction(5).g_prime, Rule.STANDARD, 17, 20_000),
+            "C5xC6": (cartesian(cycle(5), cycle(6)), Rule.STANDARD, 10, 25_000)}
     for name, (g, rule, value, most) in pins.items():
         result = zero_forcing_number(g, rule)
         assert result.value == value, name
         assert verify_certificate(g, result.witness)
         assert result.explored <= most, (name, result.explored)
+
+
+def test_standard_values_match_the_wavefront_oracle():
+    # the fort search, stopped early by its own wavefront, against a
+    # wavefront that shares no code with it: every graph a catalog claim
+    # solves or joins, the random_zf graphs of seeds 0 and 1009 (orders and
+    # densities as in bench/workloads.py) and C4 x C9; about 1 s in all
+    fixtures = [g for prefix in ("fig1", "ex32", "tensor", "cartesian", "join.family",
+                                 "thm51", "regular6k.k2", "regular6k.k3")
+                for g in claims._pair(prefix)]
+    fixtures += [iterated_join(fig1_left(), 1), join(fig1_left(), fig1_right()),
+                 grid_lattice(2), grid_lattice(3), circulant_h(2), circulant_h(3),
+                 cartesian(cycle(3), cycle(3)), cartesian(cycle(3), cycle(4)),
+                 cartesian(cycle(4), cycle(4)), cartesian(cycle(4), cycle(9))]
+    for seed in (0, 1009):
+        rng = random.Random(seed)
+        fixtures += [random_connected_graph(rng, n, p) for n in (12, 14, 16, 18)
+                     for p in (0.15, 0.3, 0.5, 0.7, 0.85)]
+    for g in fixtures:
+        result = zero_forcing_number(g, Rule.STANDARD)
+        assert result.value == wavefront_minimum(g), g
+        assert verify_certificate(g, result.witness)
 
 
 def test_group_is_listed_only_when_a_ban_needs_it(monkeypatch):
