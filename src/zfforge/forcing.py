@@ -117,37 +117,19 @@ Nothing is remembered between solves: every call searches from scratch.
 
 Certificates use a deterministic tie-break so witnesses are byte-stable: at
 every step the lexicographically least eligible (actor, target) pair fires.
+The certificate format and its replay, ``ForcingCertificate`` and
+``verify_certificate``, live in ``certify`` and are imported back here.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Union
 
+from .certify import ForcingCertificate, Rule, verify_certificate
 from .graphs import (Budget, BudgetExceededError, Graph, Record, automorphism_group, bits,
                      components, induced_subgraph, is_connected, join)
 
 VertexSetLike = Union[int, Iterable[int]]
-
-
-class Rule(enum.Enum):
-    STANDARD = "standard"
-    SKEW = "skew"
-    PSD = "psd"
-
-
-class ForcingCertificate(Record):
-    """Replayable trace: initial blue vertices plus ordered (actor, target) forces."""
-
-    __slots__ = ("rule", "initial", "forces")
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "initial", tuple(self.initial))
-        object.__setattr__(self, "forces", tuple([(a, t) for a, t in self.forces]))
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ForcingCertificate":
-        return cls(Rule(data["rule"]), data["initial"], data["forces"])
 
 
 class ZfResult(Record):
@@ -284,42 +266,6 @@ def closure(g: Graph, rule: Rule, initial: VertexSetLike, *,
     tables = _chunk_tables(g.adj) if _tables is None else _tables
     final = _close(tables, g.full_mask, blue, rule is Rule.SKEW, rule is Rule.PSD, forces)
     return final, ForcingCertificate(rule, bits(blue), forces)
-
-
-def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: bool = True) -> bool:
-    """Independent replay of a certificate; trusts nothing from the solver.
-
-    Checks that every force is legal under the rule when it fires, that no
-    vertex is forced twice or forced despite being in the initial set, and
-    (by default) that the replay ends with every vertex blue.
-    """
-    if any(not 0 <= v < g.n for v in cert.initial):
-        return False
-    blue = set(cert.initial)
-    for actor, target in cert.forces:
-        if not 0 <= actor < g.n or not 0 <= target < g.n:
-            return False
-        # blue holds the initial set and every vertex forced so far
-        if target in blue or not g.has_edge(actor, target):
-            return False
-        if cert.rule is not Rule.SKEW and actor not in blue:
-            return False
-        # the white set the exactly-one test looks at: all white vertices, or
-        # under psd the target's component of the white-induced subgraph
-        white = scope = set(range(g.n)) - blue
-        if cert.rule is Rule.PSD:
-            scope, stack = {target}, [target]
-            while stack:
-                for u in bits(g.adj[stack.pop()]):
-                    if u in white and u not in scope:
-                        scope.add(u)
-                        stack.append(u)
-        if {w for w in bits(g.adj[actor]) if w in scope} != {target}:
-            return False
-        blue.add(target)
-    if require_all_blue and len(blue) != g.n:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

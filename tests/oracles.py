@@ -9,8 +9,8 @@ from fractions import Fraction
 from zfforge.constructions import circulant_h, h_witness_set
 from zfforge.forcing import Rule, _chunk_tables, _close, closure, zero_forcing_number
 from zfforge.graphs import Graph, bits, components, from_edges, induced_subgraph
-from zfforge.skew_rank import (_ENTRY_CHOICES, SkewWitness, _int_rank, _rank_of,
-                               _spanning_tree, exact_rank)
+from zfforge.skew_rank import (_ENTRY_CHOICES, SkewWitness, _int_rank, _spanning_tree,
+                               exact_rank)
 from zfforge.spectra import CharPoly, MatrixKind
 
 
@@ -257,6 +257,29 @@ def gf2_rank_by_lists(matrix: list[list[int]]) -> int:
     return rank
 
 
+def fraction_rank(g: Graph, entries) -> int:
+    """Rank over Q of the skew matrix with ``entries[(i, j)]`` at (i, j) and
+    its negation at (j, i), by Gaussian elimination in Fractions."""
+    n = g.n
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), value in entries.items():
+        mat[i][j], mat[j][i] = Fraction(value), -Fraction(value)
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        for r in range(rank + 1, n):
+            if mat[r][col] != 0:
+                factor = mat[r][col] * inv
+                for c in range(col, n):
+                    mat[r][c] -= factor * mat[rank][c]
+        rank += 1
+    return rank
+
+
 def unfiltered_witness_search(g: Graph, *, budget: int = 4000, seed: int = 0) -> SkewWitness:
     """``max_nullity_witness_search`` as it was before the parity bound: every
     sample is ranked exactly.  Same grid, same draws, same tie rule."""
@@ -295,7 +318,7 @@ def unfiltered_witness_search(g: Graph, *, budget: int = 4000, seed: int = 0) ->
         final_map.update({e: Fraction(v) for e, v in zip(free, best_values)})
         if best_rank is None:
             certified = False
-            best_rank = _rank_of(sub, final_map)
+            best_rank = fraction_rank(sub, final_map)
         total_rank += best_rank
         for (i, j), value in final_map.items():
             merged[(verts[i], verts[j])] = value

@@ -113,6 +113,8 @@ def test_verify_certificate_rejects_forgeries():
     assert not verify_certificate(g, ForcingCertificate(Rule.STANDARD, (0, 1), ((0, 2),)))
     # forcing a vertex that is already blue
     assert not verify_certificate(g, ForcingCertificate(Rule.STANDARD, (0, 1), ((0, 1),)))
+    # one initial vertex listed twice: two claimed for a set of one
+    assert not verify_certificate(g, ForcingCertificate(Rule.STANDARD, (0, 0), ((0, 1), (1, 2))))
     # an initial vertex, an actor or a target outside the graph
     for initial, forces in (((0, 3), ((0, 1), (1, 2))), ((0, 1), ((3, 2),)),
                             ((0, -1), ((0, 1), (1, 2))), ((0,), ((0, 1), (1, 3)))):

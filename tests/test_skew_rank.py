@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import gf2_rank_by_lists, unfiltered_witness_search
+from oracles import fraction_rank, gf2_rank_by_lists, unfiltered_witness_search
 from zfforge import skew_rank
 from zfforge.forcing import Rule, zero_forcing_number
 from zfforge.graphs import (complete, cycle, empty, ex32_g, ex32_gprime, fig1_left,
                             fig1_right, from_edges, path)
 from zfforge.randgraphs import random_graph
 from zfforge.skew_rank import (_ENTRY_CHOICES, SkewWitness, _draw_entries, _gf2_rank,
-                               _int_rank, _parity_rows, _rank_of, exact_rank,
+                               _int_rank, _parity_rows, exact_rank,
                                max_nullity_witness_search)
 
 
@@ -104,6 +104,11 @@ def test_pattern_validation():
         _rank(g, {(0, 1): 0, (1, 2): 1})  # zero on an edge
     with pytest.raises(ValueError):
         _rank(g, {(1, 0): 1, (1, 2): 1})  # lower-triangle key
+    # an edge listed twice, which a dict cannot hold: the first bad entry is named
+    for first, message in ((0, "must be nonzero"), (2, "listed more than once")):
+        twice = [(0, 1, Fraction(first)), (0, 1, Fraction(1)), (1, 2, Fraction(1))]
+        with pytest.raises(ValueError, match=message):
+            exact_rank(SkewWitness(g, twice, 1, False))
 
 
 def test_randomized_mode_is_seeded_and_uncertified():
@@ -144,7 +149,7 @@ def test_int_rank_matches_fraction_elimination():
         for (i, j), v in entries.items():
             mat[i][j], mat[j][i] = v, -v
         before = [row[:] for row in mat]
-        assert _int_rank(mat) == _rank_of(g, entries)
+        assert _int_rank(mat) == fraction_rank(g, entries)
         assert mat == before  # the search reuses one matrix across samples
 
 
