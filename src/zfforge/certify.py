@@ -2,16 +2,15 @@
 
 ``verify_certificate`` replays a ``ForcingCertificate`` (an initial blue set
 and ordered (actor, target) forces) force by force.  ``exact_rank`` checks
-that a ``SkewWitness`` realises its graph's skew pattern and ranks it with
-``_int_rank``, the package's one rank routine.  The only imports are the
-standard library and ``Graph``, ``Record`` and ``bits``: no search code.
+that a ``SkewWitness`` realises its graph's skew pattern with integers and
+ranks it with ``_int_rank``, the package's one rank routine.  A vertex is an
+``int`` in range, never a bool.  The only imports are ``enum`` and
+``Graph``, ``Record`` and ``bits``: no search code.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from fractions import Fraction
 
 from .graphs import Graph, Record, bits
 
@@ -39,19 +38,19 @@ class ForcingCertificate(Record):
 def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: bool = True) -> bool:
     """Independent replay of a certificate; trusts nothing from the solver.
 
-    Checks that the initial vertices are distinct, that every force is legal
+    Checks that every vertex named is an ``int`` (not a bool) below the
+    order, that the initial vertices are distinct, that every force is legal
     under the rule when it fires, that no vertex is forced twice or forced
     despite being in the initial set, and (by default) that the replay ends
     with every vertex blue.
     """
-    if any(not 0 <= v < g.n for v in cert.initial):
+    named = [*cert.initial, *[v for force in cert.forces for v in force]]
+    if not all(type(v) is int and 0 <= v < g.n for v in named):
         return False
     blue = set(cert.initial)
     if len(blue) != len(cert.initial):
         return False
     for actor, target in cert.forces:
-        if not 0 <= actor < g.n or not 0 <= target < g.n:
-            return False
         # blue holds the initial set and every vertex forced so far
         if target in blue or not g.has_edge(actor, target):
             return False
@@ -76,7 +75,7 @@ def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: boo
 
 
 class SkewWitness(Record):
-    """Entry assignment realising a graph's skew pattern, with its nullity.
+    """Integer entry assignment realising a graph's skew pattern, with its nullity.
 
     ``certified`` records that the search that produced this witness fully
     enumerated its normalized small-integer grid (randomized or truncated
@@ -97,7 +96,8 @@ class SkewWitness(Record):
 
     @classmethod
     def from_json(cls, graph: Graph, data: dict) -> "SkewWitness":
-        entries = [(i, j, Fraction(v)) for i, j, v in data["edges"]]
+        # through str, so that a JSON 1.5 or true is refused, not read as 1
+        entries = [(i, j, int(str(v))) for i, j, v in data["edges"]]
         return cls(graph, entries, data["nullity"], data["certified"], data.get("seed"))
 
 
@@ -132,24 +132,24 @@ def exact_rank(witness: SkewWitness) -> int:
     """Rank of the realised matrix over the rationals; always even.
 
     Raises ValueError unless the entries give each edge of the graph, and
-    nothing else, one nonzero value in the upper triangle.  Scaled by the lcm
-    of their denominators, which keeps the rank, they go to ``_int_rank``.
+    nothing else, one nonzero integer in the upper triangle.
     """
     g, seen = witness.graph, set()
-    scale = math.lcm(*[Fraction(v).denominator for _i, _j, v in witness.entries])
     mat = [[0] * g.n for _ in range(g.n)]
     for i, j, value in witness.entries:
-        if i >= j:
+        ints = type(i) is int and type(j) is int  # no bool, no float
+        if ints and i >= j:
             raise ValueError(f"entries use the upper triangle; got ({i},{j})")
-        if i < 0 or j >= g.n or not g.has_edge(i, j):
+        if not (ints and 0 <= i and j < g.n and g.has_edge(i, j)):
             raise ValueError(f"entry ({i},{j}) is not an edge of the pattern")
         if (i, j) in seen:
             raise ValueError(f"entry ({i},{j}) is listed more than once")
         if value == 0:
             raise ValueError(f"entry ({i},{j}) must be nonzero")
+        if int(value) != value:
+            raise ValueError(f"entry ({i},{j}) must be an integer")
         seen.add((i, j))
-        mat[i][j] = int(Fraction(value) * scale)
-        mat[j][i] = -mat[i][j]
+        mat[i][j], mat[j][i] = int(value), -int(value)
     missing = set(g.edges()) - seen
     if missing:
         raise ValueError(f"pattern edges without entries: {sorted(missing)}")

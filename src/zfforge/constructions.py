@@ -341,8 +341,7 @@ class TensorFamilyResult(Record):
     __slots__ = ("graph", "base", "r", "z_minus_base", "witness", "expected")
 
 
-def tensor_family(g: Graph, r: int, *, witness_budget: int = 4000,
-                  seed: int = 0) -> TensorFamilyResult:
+def tensor_family(g: Graph, r: int, *, seed: int = 0) -> TensorFamilyResult:
     """Tensor g with a complete graph K_r; expected forcing values scale as
 
         (r - 2) |V(g)| + 2 Z_minus(g)
@@ -355,7 +354,7 @@ def tensor_family(g: Graph, r: int, *, witness_budget: int = 4000,
         raise PreconditionError(["tensor family needs r >= 3"])
     product = graphs.tensor(g, complete(r))  # past the order cap: raise before any solve
     z_minus = zero_forcing_number(g, Rule.SKEW).value
-    witness = max_nullity_witness_search(g, budget=witness_budget, seed=seed)
+    witness = max_nullity_witness_search(g, seed=seed)
     if witness.achieved_nullity != z_minus:
         raise PreconditionError(
             [f"maximum skew nullity is not established: best witness nullity "

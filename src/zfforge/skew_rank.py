@@ -13,9 +13,10 @@ D a nonzero diagonal) to one whose entries along a spanning forest are +1,
 and congruence preserves both rank and pattern.  The exhaustive search
 therefore pins forest entries to +1 and ranges the remaining entries over
 {1, 2, 3} with both signs, which keeps desk-scale patterns enumerable.
-Each sample is written into one integer matrix per component and ranked by
+Entries are ints throughout, the only entries ``exact_rank`` accepts: each
+sample is written into one integer matrix per component and ranked by
 fraction-free integer elimination (``certify._int_rank``), which is exact
-over the rationals; the final witness is replayed end to end by
+over the rationals, and the final witness is replayed end to end by
 ``exact_rank``, which checks its pattern and ranks it with the same routine.
 
 Parity bound: the rank over GF(2) of a sample's matrix mod 2 never exceeds
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .certify import SkewWitness, _int_rank, exact_rank
 from .graphs import Graph, bits, components, induced_subgraph
@@ -115,7 +115,7 @@ def max_nullity_witness_search(g: Graph, *,
     rng = random.Random(seed)
     remaining = budget
     certified = True
-    entries: list[tuple[int, int, Fraction]] = []
+    entries: list[tuple[int, int, int]] = []
     total_rank = 0
     comps = components(g)
 
@@ -156,7 +156,7 @@ def max_nullity_witness_search(g: Graph, *,
             best_rank = _int_rank(mat)
         total_rank += best_rank
         chosen = dict.fromkeys(tree, 1) | dict(zip(free, best_values))
-        entries += [(verts[i], verts[j], Fraction(v)) for (i, j), v in chosen.items()]
+        entries += [(verts[i], verts[j], v) for (i, j), v in chosen.items()]
 
     witness = SkewWitness(g, sorted(entries), g.n - total_rank, certified, seed)
     # replay the merged witness end to end; nullity must match the component sum

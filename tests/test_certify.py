@@ -8,6 +8,7 @@ import pytest
 from oracles import fraction_rank
 from zfforge import certify, forcing, skew_rank
 from zfforge.certify import SkewWitness, exact_rank
+from zfforge.constructions import tensor_family
 from zfforge.graphs import ex32_g, ex32_gprime, fig1_left, path
 from zfforge.randgraphs import random_graph
 from zfforge.skew_rank import max_nullity_witness_search
@@ -52,21 +53,58 @@ def test_exact_rank_matches_fraction_oracle():
             entries = {(i, j): v for i, j, v in witness.entries}
             rank = exact_rank(witness)
             assert rank == fraction_rank(g, entries) == g.n - witness.achieved_nullity
-    # seeded patterns with fractional entries, which exact_rank scales to integers
+    # seeded patterns with integer entries; the same values as Fractions rank
+    # alike, and one entry off the integers is refused
     rng = random.Random(331)
-    choices = [sign * Fraction(v) for v in (1, 2, 3, Fraction(1, 2), Fraction(7, 3))
-               for sign in (1, -1)]
-    fractional = 0
+    choices = [sign * v for v in (1, 2, 3, 7) for sign in (1, -1)]
+    refused = 0
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.5, 0.8)))
         entries = {e: rng.choice(choices) for e in g.edges()}
-        fractional += any(v.denominator > 1 for v in entries.values())
-        witness = SkewWitness(g, [(i, j, v) for (i, j), v in entries.items()], 0, False)
-        assert exact_rank(witness) == fraction_rank(g, entries)
-    assert fractional > 100
+        rank = fraction_rank(g, entries)
+        for convert in (int, Fraction):
+            listed = [(i, j, convert(v)) for (i, j), v in entries.items()]
+            assert exact_rank(SkewWitness(g, listed, 0, False)) == rank
+        if entries:
+            first, *rest = [[i, j, v] for (i, j), v in entries.items()]
+            first[2] += Fraction(1, 2)
+            with pytest.raises(ValueError, match="must be an integer"):
+                exact_rank(SkewWitness(g, [first, *rest], 0, False))
+            refused += 1
+    assert refused > 100
 
 
-@pytest.mark.parametrize("first", [(-1, 1), (1, 3), (3, 4)])
+def test_package_witnesses_have_int_entries_and_round_trip():
+    witnesses = [max_nullity_witness_search(build(), seed=seed)
+                 for build in (fig1_left, ex32_g, ex32_gprime) for seed in (0, 1009)]
+    witnesses.append(tensor_family(ex32_g(), 3).witness)
+    for witness in witnesses:
+        assert all(type(v) is int for _i, _j, v in witness.entries)
+        back = SkewWitness.from_json(witness.graph, witness.to_json())
+        assert back == witness
+        assert all(type(v) is int for _i, _j, v in back.entries)
+        assert exact_rank(back) == exact_rank(witness)
+
+
+def test_rational_entries_are_refused():
+    g = path(3)
+    for value in (Fraction(1, 2), Fraction(7, 3), 0.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            exact_rank(SkewWitness(g, [(0, 1, 1), (1, 2, value)], 1, False))
+    # a number equal to an int ranks as that int
+    assert exact_rank(SkewWitness(g, [(0, 1, Fraction(3)), (1, 2, 2.0)], 1, False)) == 2
+    # from_json reads the strings to_json writes, and JSON integers, as ints
+    for value in ("1/2", 1.5, True):
+        data = {"edges": [[0, 1, "1"], [1, 2, value]], "nullity": 1, "certified": False}
+        with pytest.raises(ValueError):
+            SkewWitness.from_json(g, data)
+    data = {"edges": [[0, 1, "-3"], [1, 2, 2]], "nullity": 1, "certified": False}
+    assert SkewWitness.from_json(g, data).entries == ((0, 1, -3), (1, 2, 2))
+
+
+# (0.0, 1), ("0", 1) and (True, 2) name no vertex: 0.0 and "0" are not ints,
+# and True, though equal to 1, is a bool
+@pytest.mark.parametrize("first", [(-1, 1), (1, 3), (3, 4), (0.0, 1), ("0", 1), (True, 2)])
 def test_exact_rank_rejects_vertices_outside_the_graph(first):
     # (-1, 1) would read row -1, the last row, where 2 ~ 1 is an edge
     entries = [(*first, Fraction(1)), (0, 1, Fraction(1)), (1, 2, Fraction(1))]

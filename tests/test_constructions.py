@@ -254,9 +254,9 @@ def test_tensor_family_fixture_values():
 def test_tensor_family_preconditions():
     with pytest.raises(PreconditionError):
         tensor_family(cycle(4), 2)
-    # a starved witness search cannot establish the nullity equality
-    with pytest.raises(PreconditionError):
-        tensor_family(ex32_g(), 3, witness_budget=1, seed=0)
+    # a base whose best witness falls short of Z_minus cannot establish the equality
+    with pytest.raises(PreconditionError, match="best witness nullity 2 != Z_minus 4"):
+        tensor_family(fig1_left(), 3)
 
 
 def test_join_family_fixture_pair():

@@ -120,6 +120,15 @@ def test_verify_certificate_rejects_forgeries():
                             ((0, -1), ((0, 1), (1, 2))), ((0,), ((0, 1), (1, 3)))):
         assert not verify_certificate(g, ForcingCertificate(Rule.STANDARD, initial, forces),
                                       require_all_blue=False)
+    # vertices that are not ints, as a report's JSON could carry them: a float,
+    # a string, and true, which would otherwise pass as vertex 1
+    for data in ({"initial": [0.0], "forces": [[0.0, 1], [1, 2]]},
+                 {"initial": ["0"], "forces": [[0, 1], [1, 2]]},
+                 {"initial": [0], "forces": [[0, True], [True, 2]]},
+                 {"initial": [True], "forces": [[1, 0], [1, 2]]}):
+        cert = ForcingCertificate.from_json({"rule": "standard", **data})
+        assert not verify_certificate(g, cert)
+        assert not verify_certificate(g, cert, require_all_blue=False)
     # white actors may force under skew but not under standard
     g2 = path(2)
     skew_ok = ForcingCertificate(Rule.SKEW, (), ((0, 1), (1, 0)))
