@@ -12,7 +12,10 @@ row's arguments, then the seed, and returns the computed value and the
 certificates.  A graph argument is a thunk and a fixture argument an id
 prefix, which ``_fixture`` builds on first use, so importing this module
 builds no graph.  Every exact forcing value comes from ``_zf_claim``, which
-solves, replays the witness independently and attaches it.
+solves, replays the witness independently and attaches it, with a
+``lower_bound`` entry that says what proves the value minimal: a checked
+integer matrix the solve was given (``"matrix"``), the minimum degree of
+each component (``"degree"``), or else the exhaustive search (``"search"``).
 
 ``run_claims`` evaluates any id-prefix slice of the catalog, optionally
 across processes, and always reports in canonical id order.  The process
@@ -32,6 +35,7 @@ from typing import Callable, Optional
 
 from . import constructions as cons
 from . import graphs
+from .certify import MatrixCertificate
 from .forcing import (BudgetExceededError, Rule, closure, verify_certificate,
                       zero_forcing_number, zf_join_formula_check)
 from .randgraphs import random_connected_graph, random_graph, random_regular_graph
@@ -107,14 +111,50 @@ def _member(prefix: str, which: int) -> Callable[[], graphs.Graph]:
     return lambda: _pair(prefix)[which]
 
 
-def _zf_claim(g: graphs.Graph, rule: Rule) -> tuple[object, dict]:
-    result = zero_forcing_number(g, rule)
+def _zf_claim(g: graphs.Graph, rule: Rule,
+              matrix: Optional[MatrixCertificate] = None) -> tuple[object, dict]:
+    result = zero_forcing_number(g, rule, lower_bound=matrix)
     replay = verify_certificate(g, result.witness)
     certs = {"graph6": graphs.emit_graph6(g),
              "certificate": result.witness.to_json(),
              "independent_replay": replay,
-             "closure_evaluations": result.explored}
+             "closure_evaluations": result.explored,
+             "lower_bound": _lower_bound_entry(g, rule, result.value, matrix)}
     return (result.value if replay else "witness-replay-failed"), certs
+
+
+def _lower_bound_entry(g: graphs.Graph, rule: Rule, value: int,
+                       matrix: Optional[MatrixCertificate]) -> dict:
+    """What proves ``value`` minimal: the matrix the solve checked, the
+    per-component minimum degree (less one under skew) when it sums to the
+    value, or the search itself."""
+    if matrix is not None:
+        return {"kind": "matrix", "certificate": matrix.to_json()}
+    parts = graphs.components(g)
+    bounds = [max(min(g.degree(v) for v in graphs.bits(p)) - (rule is Rule.SKEW), 0)
+              for p in parts]
+    if sum(bounds) == value:
+        return {"kind": "degree", "components": [list(graphs.bits(p)) for p in parts],
+                "bounds": bounds}
+    return {"kind": "search"}
+
+
+@lru_cache(maxsize=None)
+def _ex32_witness(which: int, seed: int):
+    """The skew witness of ex32 graph ``which``; its nullity meets Z_minus."""
+    return max_nullity_witness_search(_pair("ex32")[which], seed=seed)
+
+
+def _ex32_skew(which: int, seed: int) -> MatrixCertificate:
+    return MatrixCertificate.from_witness(_ex32_witness(which, seed))
+
+
+def _tensor_symmetric(which: int, seed: int) -> MatrixCertificate:
+    return cons.tensor_bound(_ex32_skew(which, seed), 3)
+
+
+def _tensor_skew(which: int, weights, seed: int) -> MatrixCertificate:
+    return cons.tensor_bound(cons.hollow_matrix(_pair("ex32")[which], weights), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +165,11 @@ def _zf(graph: Callable[[], graphs.Graph], rule: Rule, seed: int) -> tuple[objec
     return _zf_claim(graph(), rule)
 
 
+def _zf_matrix(graph: Callable[[], graphs.Graph], rule: Rule,
+               matrix: Callable[[int], MatrixCertificate], seed: int) -> tuple[object, dict]:
+    return _zf_claim(graph(), rule, matrix(seed))
+
+
 def _zf_at_most(graph: Callable[[], graphs.Graph], bound: int, seed: int) -> tuple[object, dict]:
     value, certs = _zf_claim(graph(), Rule.STANDARD)
     return certs["independent_replay"] and value <= bound, {"value": value, **certs}
@@ -132,8 +177,10 @@ def _zf_at_most(graph: Callable[[], graphs.Graph], bound: int, seed: int) -> tup
 
 @lru_cache(maxsize=None)
 def _grid_zplus(which: int, seed: int) -> tuple[object, dict]:
-    # cached, so that cartesian.bound.r11 reuses both solves
-    return _zf_claim(_pair("cartesian")[which], Rule.PSD)
+    # cached, so that cartesian.bound.r11 reuses both solves; the switched
+    # mate's A + 2I is psd with nullity 9, and bounds nothing above 9 on the grid
+    g = _pair("cartesian")[which]
+    return _zf_claim(g, Rule.PSD, cons.shifted_adjacency(g, 2) if which else None)
 
 
 def _grid_bound(r: int, seed: int) -> tuple[object, dict]:
@@ -142,7 +189,10 @@ def _grid_bound(r: int, seed: int) -> tuple[object, dict]:
 
 
 def _torus(s: int, t: int, seed: int) -> tuple[object, dict]:
-    value, certs = _zf_claim(graphs.cartesian(graphs.cycle(s), graphs.cycle(t)), Rule.STANDARD)
+    # the signed-cycle Kronecker sum meets the formula when s == t
+    matrix = cons.torus_bound(s) if s == t else None
+    value, certs = _zf_claim(graphs.cartesian(graphs.cycle(s), graphs.cycle(t)),
+                             Rule.STANDARD, matrix)
     certs["formula_value"] = cons.torus_zero_forcing(s, t)
     return value, certs
 
@@ -193,7 +243,7 @@ def _core_witness(k: int, seed: int) -> tuple[object, dict]:
 
 def _skew_nullity(which: int, seed: int) -> tuple[object, dict]:
     g = _pair("ex32")[which]
-    witness = max_nullity_witness_search(g, seed=seed)
+    witness = _ex32_witness(which, seed)
     z_minus = _zf_claim(g, Rule.SKEW)[0]
     rank = exact_rank(witness)
     replayed = g.n - rank
@@ -266,23 +316,25 @@ _CATALOG = (
     ("regcospec.fig1", "fixture pair: regular, so cospectral for A, L, Q (verified) and normalized (derived)",
      "derived", _REGCOSPEC_EXPECTED, _regcospec, "fig1", 4),
     ("ex32.Zminus.G", "skew forcing number of the cycle+isolated fixture", "paper", 3,
-     _zf, _member("ex32", 0), Rule.SKEW),
+     _zf_matrix, _member("ex32", 0), Rule.SKEW, partial(_ex32_skew, 0)),
     ("ex32.Zminus.Gprime", "skew forcing number of the spider fixture", "paper", 1,
-     _zf, _member("ex32", 1), Rule.SKEW),
+     _zf_matrix, _member("ex32", 1), Rule.SKEW, partial(_ex32_skew, 1)),
     ("ex32.cospectral.A", "cycle+isolated vs spider share the adjacency char poly", "paper", True,
      _cospectral, "ex32"),
     ("ex32.skew_nullity.G", "maximum skew nullity witness meets the skew forcing number (cycle+isolated)",
      "paper", {"nullity": 3, "equals_skew_forcing_number": True}, _skew_nullity, 0),
     ("ex32.skew_nullity.Gprime", "maximum skew nullity witness meets the skew forcing number (spider)",
      "paper", {"nullity": 1, "equals_skew_forcing_number": True}, _skew_nullity, 1),
+    # bounded by B (x) C and A (x) C (constructions.tensor_bound): B the ex32
+    # skew witness, A the hollow weighting of the base in g.edges() order
     ("tensor.Z.G", "standard forcing number of (cycle+isolated) x K3", "paper", 13,
-     _zf, _member("tensor", 0), Rule.STANDARD),
+     _zf_matrix, _member("tensor", 0), Rule.STANDARD, partial(_tensor_symmetric, 0)),
     ("tensor.Zminus.G", "skew forcing number of (cycle+isolated) x K3", "paper", 13,
-     _zf, _member("tensor", 0), Rule.SKEW),
+     _zf_matrix, _member("tensor", 0), Rule.SKEW, partial(_tensor_skew, 0, (1, 1, 1, 1, 1, -1))),
     ("tensor.Z.Gprime", "standard forcing number of spider x K3", "paper", 9,
-     _zf, _member("tensor", 1), Rule.STANDARD),
+     _zf_matrix, _member("tensor", 1), Rule.STANDARD, partial(_tensor_symmetric, 1)),
     ("tensor.Zminus.Gprime", "skew forcing number of spider x K3", "paper", 9,
-     _zf, _member("tensor", 1), Rule.SKEW),
+     _zf_matrix, _member("tensor", 1), Rule.SKEW, partial(_tensor_skew, 1, None)),
     ("tensor.cospectral.A", "tensor products with K3 stay adjacency-cospectral", "paper", True,
      _cospectral, "tensor"),
     ("cartesian.Zplus.r2", "psd forcing number of the 2x2 rook's graph", "paper", 2,

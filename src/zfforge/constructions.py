@@ -19,6 +19,12 @@ forcing behaviour while preserving a spectrum:
                            forcing difference while keeping cospectrality.
 * ``join_family``          join with a complete graph, shifting forcing
                            numbers by r while keeping Laplacian cospectrality.
+
+The last section builds integer matrices with a graph's pattern, whose
+checked nullities (``certify.matrix_nullity``) prove the catalog's forcing
+values from below: Kronecker products for the tensor family, a Kronecker
+sum of signed cycles for the tori C_s box C_s, and a shifted adjacency
+matrix for the switched rook's graph.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Optional, Sequence
 from . import graphs
 from .graphs import (Graph, Record, bits, cartesian, complete, cycle, disjoint_union,
                      fig1_left, fig1_right, is_connected, is_isomorphic, join, mask_from, path)
+from .certify import MatrixCertificate
 from .forcing import Rule, zero_forcing_number
 from .spectra import MatrixKind, cospectral
 from .skew_rank import max_nullity_witness_search
@@ -444,3 +451,62 @@ def grid_shrikhande_report(r: int, zplus_grid: int, zplus_switched: int) -> Grid
         product_lower_bound=lower,
         separation_holds=upper < lower,
     )
+
+
+# ---------------------------------------------------------------------------
+# lower-bound matrices: integer matrices with a graph's pattern
+# ---------------------------------------------------------------------------
+
+def hollow_matrix(g: Graph, weights: Optional[Sequence[int]] = None) -> MatrixCertificate:
+    """The symmetric matrix with ``weights[k]`` on the k-th edge of
+    ``g.edges()`` (every weight 1 by default) and a zero diagonal."""
+    edges = g.edges()
+    weights = [1] * len(edges) if weights is None else weights
+    if len(weights) != len(edges):
+        raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
+    rows = [[0] * g.n for _ in range(g.n)]
+    for (i, j), w in zip(edges, weights):
+        rows[i][j] = rows[j][i] = w
+    return MatrixCertificate("symmetric", rows)
+
+
+def tensor_bound(base: MatrixCertificate, r: int) -> MatrixCertificate:
+    """base (x) C for g x K_r, with C_ij = j - i, at index r v + i as
+    ``graphs.tensor`` numbers vertex (v, i).
+
+    C is skew, has rank 2 and no zero off its diagonal, so the product has
+    the pattern of g x K_r whenever base has g's pattern and a zero
+    diagonal, and nullity r n - 2 rank(base) = (r - 2) n + 2 null(base).  A
+    skew base, such as the witness ``tensor_family`` requires, gives a
+    symmetric product, which bounds Z; a symmetric base gives a skew one,
+    which bounds Z_minus.
+    """
+    b, n = base.rows, len(base.rows)
+    rows = [[b[v][u] * (j - i) for u in range(n) for j in range(r)]
+            for v in range(n) for i in range(r)]
+    return MatrixCertificate("symmetric" if base.kind == "skew" else "skew", rows)
+
+
+def torus_bound(s: int) -> MatrixCertificate:
+    """A (x) I - I (x) A for C_s box C_s, A the signed cycle: C_s's adjacency
+    with the edge (0, s - 1) weighted -1.
+
+    A's eigenvalues 2 cos((2j + 1) pi / s) are all double, but for -2 when s
+    is odd, so the nullity, the sum of their squared multiplicities, is
+    2s - (s mod 2) = ``torus_zero_forcing(s, s)``.
+    """
+    if s < 3:
+        raise ValueError("torus bound needs s >= 3")
+    c = cycle(s)
+    a = hollow_matrix(c, [-1 if e == (0, s - 1) else 1 for e in c.edges()]).rows
+    rows = [[a[v][u] * (i == j) - (v == u) * a[i][j] for u in range(s) for j in range(s)]
+            for v in range(s) for i in range(s)]
+    return MatrixCertificate("symmetric", rows)
+
+
+def shifted_adjacency(g: Graph, shift: int) -> MatrixCertificate:
+    """A + shift I, offered as positive semidefinite.  For the switched rook's
+    graph (``shrikhande``), whose adjacency eigenvalues are 6, 2 and -2 (nine
+    times), shift 2 gives a psd matrix of nullity 9."""
+    return MatrixCertificate("psd", [[shift if u == v else row >> u & 1 for u in range(g.n)]
+                                     for v, row in enumerate(g.adj)])

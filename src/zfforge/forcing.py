@@ -51,12 +51,16 @@ left tries only those, returns at once if none is left unbanned, and bans
 the others untried, as it would after a child that failed.  Each such child
 is a leaf, closed by the node itself with the same two steps: its fort list
 would be empty, and a leaf never reads its group.  The search stops
-early when the incumbent meets the proven lower bound in the component's
-minimum degree delta: Z >= delta, Z_plus >= treewidth >= delta and
-Z_minus >= delta - 1.  Otherwise it ends only when no smaller set survives,
-or, under the standard rule, when the wavefront below proves the incumbent
-minimum, so every value is decided by exhaustive proof, and the proof that
-nothing of size Z - 1 forces is made once.
+early when the incumbent meets its start bound, a proven lower bound: the
+component's minimum degree delta (Z >= delta, Z_plus >= treewidth >= delta
+and Z_minus >= delta - 1), or the nullity of the component's block of an
+integer matrix with g's pattern, when the caller passes one and
+``certify.matrix_nullity`` accepts it (Z >= M >= null(A) for a symmetric A,
+Z_plus >= null(P) for a psd P, Z_minus >= null(K) for a skew K).
+Otherwise it ends only when no smaller set survives, or, under the standard
+rule, when the wavefront below proves the incumbent minimum, so every value
+is decided by exhaustive proof or by a checked integer identity, and the
+proof that nothing of size Z - 1 forces is made once.
 
 Under the standard rule that proof comes from a second exhaustive search run
 alongside, the wavefront of Butler et al. (the Sage Minimum Rank Library;
@@ -125,7 +129,8 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .certify import ForcingCertificate, Rule, verify_certificate
+from .certify import (ForcingCertificate, MatrixCertificate, Rule, matrix_nullity,
+                      verify_certificate)
 from .graphs import (Budget, BudgetExceededError, Graph, Record, automorphism_group, bits,
                      components, induced_subgraph, is_connected, join)
 
@@ -274,21 +279,21 @@ def closure(g: Graph, rule: Rule, initial: VertexSetLike, *,
 
 def _lower_bound(g: Graph, rule: Rule) -> int:
     """Z >= delta, Z_plus >= tw >= delta and Z_minus >= delta - 1, with delta
-    the minimum degree of g."""
+    the minimum degree of g: the start bound of a component solve, unless a
+    checked matrix certificate proves a larger one."""
     delta = min(row.bit_count() for row in g.adj)
     return max(delta - 1, 0) if rule is Rule.SKEW else delta
 
 
-def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget) -> int:
+def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget, bound: int) -> int:
     """Minimum forcing set of the connected graph g with chunk tables
     ``tables``, as a minimum hitting set of lazily generated forts, branching
-    on automorphism orbits, and under the standard rule stopped early by the
-    wavefront's proof of the minimum (see the module docstring); returns its
-    mask."""
+    on automorphism orbits, stopped early by an incumbent of size ``bound``,
+    a proven lower bound, and under the standard rule by the wavefront's
+    proof of the minimum (see the module docstring); returns its mask."""
     budget.what = f"{rule.value} search on a component of order {g.n}"
     comp = g.full_mask
     skew, psd = rule is Rule.SKEW, rule is Rule.PSD
-    bound = _lower_bound(g, rule)
     forts: list[int] = []
     best = comp  # the incumbent: the smallest forcing set found so far
     whole = None  # g's automorphism group, listed when a ban first needs it
@@ -465,13 +470,21 @@ def _component_minimum(g: Graph, tables, rule: Rule, budget: Budget) -> int:
     return best
 
 
-def zero_forcing_number(g: Graph, rule: Rule, *, budget: int = 10 ** 8) -> ZfResult:
+def zero_forcing_number(g: Graph, rule: Rule, *, budget: int = 10 ** 8,
+                        lower_bound: MatrixCertificate | None = None) -> ZfResult:
     """Exact minimum forcing-set size with witness certificate.
 
     Searches each connected component as a graph of its own, and a
     connected g as itself: the parameter is additive over components.  All
     components spend from one Budget of ``budget`` search steps, the
     solver's only limit; a budget below 1 is a ValueError.
+
+    A ``lower_bound`` matrix is checked by ``certify.matrix_nullity`` on
+    every component, and a failed check (a kind that does not bound the
+    rule included) raises its ValueError.  Each component's search then
+    starts from the larger of its degree bound and its block's nullity, so
+    it stops at its first incumbent of that size, the set it would have
+    returned anyway: the value and witness are those of the plain solve.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -482,7 +495,10 @@ def zero_forcing_number(g: Graph, rule: Rule, *, budget: int = 10 ** 8) -> ZfRes
         sub_tables = _chunk_tables(sub.adj)
         if sub is g:
             tables = sub_tables
-        for i in bits(_component_minimum(sub, sub_tables, rule, state)):
+        bound = _lower_bound(sub, rule)
+        if lower_bound is not None:
+            bound = max(bound, matrix_nullity(g, lower_bound, rule, comp))
+        for i in bits(_component_minimum(sub, sub_tables, rule, state, bound)):
             initial |= 1 << verts[i]
 
     final, cert = closure(g, rule, initial, _tables=tables)

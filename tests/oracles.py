@@ -326,3 +326,29 @@ def unfiltered_witness_search(g: Graph, *, budget: int = 4000, seed: int = 0) ->
     witness = SkewWitness(g, entries, g.n - total_rank, certified, seed)
     assert g.n - exact_rank(witness) == witness.achieved_nullity
     return witness
+
+
+def principal_minors_psd(rows: list[list[int]]) -> bool:
+    """A symmetric matrix is positive semidefinite exactly when every
+    principal minor is nonnegative; each minor by Fraction elimination."""
+    n = len(rows)
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        m = [[Fraction(rows[i][j]) for j in idx] for i in idx]
+        det = Fraction(1)
+        for col in range(len(idx)):
+            pivot = next((r for r in range(col, len(idx)) if m[r][col]), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != col:
+                m[col], m[pivot] = m[pivot], m[col]
+                det = -det
+            det *= m[col][col]
+            for r in range(col + 1, len(idx)):
+                f = m[r][col] / m[col][col]
+                for c in range(col, len(idx)):
+                    m[r][c] -= f * m[col][c]
+        if det < 0:
+            return False
+    return True

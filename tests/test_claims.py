@@ -162,7 +162,7 @@ def test_claim_report_json_shape():
 
 # sha256 of the sorted (claim id, sorted certificate keys) pairs: the report
 # may gain certificate keys, but only deliberately, with this digest updated
-CERTIFICATE_KEYS_SHA256 = "29a9db175425695b1d5f407daf2ede601104c02a7e1dcfc8906ab336d08e1833"
+CERTIFICATE_KEYS_SHA256 = "ec937bd47aed41421b0a9a757b9f37d64ce36018cbc3b473191c3599333110e6"
 
 
 def test_attached_certificates_are_self_contained():
@@ -183,6 +183,44 @@ def test_attached_certificates_are_self_contained():
             assert verify_certificate(g, cert), report.claim_id
             checked += 1
     assert checked == 32
+
+
+def test_every_forcing_value_says_what_proves_it_minimal():
+    # the nine matrix entries replay from the report alone to the value, and
+    # each degree entry is the per-component minimum degree (less one under
+    # skew), summing to the value; every other solve was proved by search
+    from zfforge.certify import MatrixCertificate, Rule, matrix_nullity
+    from zfforge.graphs import bits, components, parse_graph6
+
+    kinds = {}
+    for report in json.loads(json.dumps([r.to_json() for r in run_claims()])):
+        certs = report["certificates"]
+        if "closure_evaluations" not in certs:  # not a _zf_claim solve
+            assert "lower_bound" not in certs, report["claim_id"]
+            continue
+        bound, g = certs["lower_bound"], parse_graph6(certs["graph6"])
+        rule = Rule(certs["certificate"]["rule"])
+        value = certs.get("value", report["computed"])
+        kinds.setdefault(bound["kind"], []).append(report["claim_id"])
+        if bound["kind"] == "matrix":
+            cert = MatrixCertificate.from_json(bound["certificate"])
+            assert matrix_nullity(g, cert, rule) == value, report["claim_id"]
+        elif bound["kind"] == "degree":
+            parts = [list(bits(p)) for p in components(g)]
+            assert bound["components"] == parts
+            degrees = [max(min(g.degree(v) for v in part) - (rule is Rule.SKEW), 0)
+                       for part in parts]
+            assert bound["bounds"] == degrees and sum(degrees) == value
+        else:
+            assert bound == {"kind": "search"}
+    assert sorted(kinds["matrix"]) == [
+        "cartesian.Zplus.shrikhande", "cor52.torus.C3C3", "cor52.torus.C4C4",
+        "ex32.Zminus.G", "ex32.Zminus.Gprime", "tensor.Z.G", "tensor.Z.Gprime",
+        "tensor.Zminus.G", "tensor.Zminus.Gprime"]
+    assert sorted(kinds["degree"]) == [
+        "cartesian.Zplus.r2", "fig1.Z.right", "fig1.Zplus.right",
+        "join.family.fig1.Z.right", "regular6k.k2.ZH", "thm51.Z.Gprime"]
+    assert len(kinds["search"]) == 15
 
 
 def test_duplicate_claim_id_is_rejected():

@@ -293,7 +293,7 @@ def test_verify_paper_json_report(tmp_path, capsys):
 # sha256 of the seed-0 --json report with every claim's wall_time removed,
 # serialised with sorted keys: every other field, certificates included, is
 # a pure function of the seed
-REPORT_SEED0_SHA256 = "fb332081d434d5b9547f6d3cf0b0ef6c3bc05e903ec13d8c6c1c1edc3d6616d6"
+REPORT_SEED0_SHA256 = "d0de831a82a933a978136c6877667a75e17aed1d64ade01f88db06a1a6ad8f01"
 
 
 def test_verify_paper_json_report_is_pinned(tmp_path, capsys):

@@ -333,3 +333,13 @@ def test_paper_witness_replays_on_core():
         final, cert = closure(h, Rule.STANDARD, h_witness_set(k))
         assert final == h.full_mask
         assert verify_certificate(h, cert)
+
+
+def test_torus_bound_meets_the_formula_on_every_square_torus():
+    from zfforge.certify import matrix_nullity
+    from zfforge.constructions import torus_bound
+    for s in range(3, 8):
+        torus = cartesian(cycle(s), cycle(s))
+        assert matrix_nullity(torus, torus_bound(s), Rule.STANDARD) == torus_zero_forcing(s, s)
+    with pytest.raises(ValueError, match="s >= 3"):
+        torus_bound(2)

@@ -8,13 +8,16 @@ from zfforge.forcing import (BudgetExceededError, ForcingCertificate, Rule,
                              _chunk_tables, _close, closure, verify_certificate,
                              zero_forcing_number, zf_join_formula_check)
 from zfforge import claims, forcing, graphs
-from zfforge.constructions import circulant_h, regular_construction, shrikhande
+from zfforge.certify import MatrixCertificate
+from zfforge.constructions import (circulant_h, hollow_matrix, regular_construction,
+                                   shifted_adjacency, shrikhande, tensor_bound, torus_bound)
 from zfforge.graphs import (automorphism_group, bits, cartesian, circulant, complement,
                             complete, complete_bipartite, components, cycle,
                             disjoint_union, empty, ex32_g, ex32_gprime, fig1_left,
                             fig1_right, from_edges, grid_lattice, induced_subgraph,
                             iterated_join, join, mask_components, mask_from, path)
 from zfforge.randgraphs import random_connected_graph, random_graph
+from zfforge.skew_rank import max_nullity_witness_search
 
 from oracles import (FRUCHT, PETERSEN, gosper_minimum, random_subset_mask, set_closure,
                      wavefront_minimum)
@@ -652,9 +655,9 @@ def test_a_connected_graph_is_solved_as_itself(monkeypatch):
     # of a graph with two or more
     solved, search = [], forcing._component_minimum
 
-    def recorded(g, tables, rule, budget):
+    def recorded(g, *args):
         solved.append(g)
-        return search(g, tables, rule, budget)
+        return search(g, *args)
 
     monkeypatch.setattr(forcing, "_component_minimum", recorded)
     g = fig1_left()
@@ -706,3 +709,54 @@ def test_search_witnesses_are_pinned():
             digest.update(json.dumps([result.value, result.witness.to_json()]).encode())
     assert digest.hexdigest() == \
         "0f0794a6724ee072d81909d66231e9a6a2f8bc0d3e6c063c62cfec244b5aacd9"
+
+
+def _certified_solves():
+    # (graph, rule, matrix, pinned steps): the nine catalog solves that get
+    # a lower-bound matrix; the pin is None where the plain solve already
+    # stops at its first incumbent
+    k3 = complete(3)
+    skew = [MatrixCertificate.from_witness(max_nullity_witness_search(g, seed=0))
+            for g in (ex32_g(), ex32_gprime())]
+    hollow = [hollow_matrix(ex32_g(), (1, 1, 1, 1, 1, -1)), hollow_matrix(ex32_gprime())]
+    mate = shrikhande()
+    return [
+        (graphs.tensor(ex32_g(), k3), Rule.STANDARD, tensor_bound(skew[0], 3), 112),
+        (graphs.tensor(ex32_g(), k3), Rule.SKEW, tensor_bound(hollow[0], 3), 110),
+        (graphs.tensor(ex32_gprime(), k3), Rule.STANDARD, tensor_bound(skew[1], 3), 119),
+        (graphs.tensor(ex32_gprime(), k3), Rule.SKEW, tensor_bound(hollow[1], 3), 89),
+        (mate, Rule.PSD, shifted_adjacency(mate, 2), 123),
+        (cartesian(cycle(3), cycle(3)), Rule.STANDARD, torus_bound(3), 45),
+        (cartesian(cycle(4), cycle(4)), Rule.STANDARD, torus_bound(4), 86),
+        (ex32_g(), Rule.SKEW, skew[0], None),
+        (ex32_gprime(), Rule.SKEW, skew[1], None),
+    ]
+
+
+def test_a_certified_solve_returns_the_plain_value_and_witness():
+    fell = 0
+    for g, rule, matrix, pinned in _certified_solves():
+        plain = zero_forcing_number(g, rule)
+        bounded = zero_forcing_number(g, rule, lower_bound=matrix)
+        assert (bounded.value, bounded.witness) == (plain.value, plain.witness), (g, rule)
+        assert bounded.explored <= plain.explored
+        if pinned is not None:
+            assert bounded.explored <= pinned < plain.explored, (g, rule, bounded.explored)
+            fell += 1
+    assert fell == 7
+
+
+def test_a_weak_matrix_bound_leaves_the_search_to_prove_the_rest():
+    # the rook's grid is cospectral with its switched mate, so A + 2I is psd
+    # with nullity 9 on it too, below Z_plus = 10: the search proves the rest
+    grid = grid_lattice(4)
+    weak = shifted_adjacency(grid, 2)
+    assert forcing.matrix_nullity(grid, weak, Rule.PSD) == 9
+    plain = zero_forcing_number(grid, Rule.PSD)
+    bounded = zero_forcing_number(grid, Rule.PSD, lower_bound=weak)
+    assert (bounded.value, bounded.witness) == (plain.value, plain.witness)
+    assert plain.value == 10
+    # the all-zero matrix would claim nullity 16: it fails the pattern
+    zero = MatrixCertificate("psd", [[0] * 16 for _ in range(16)])
+    with pytest.raises(ValueError, match="on an edge"):
+        zero_forcing_number(grid, Rule.PSD, lower_bound=zero)
