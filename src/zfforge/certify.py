@@ -5,20 +5,23 @@ and ordered (actor, target) forces) force by force.  ``exact_rank`` checks
 that a ``SkewWitness`` realises its graph's skew pattern with integers and
 ranks it with ``_int_rank``, the package's one rank routine.
 ``matrix_nullity`` checks a ``MatrixCertificate``, an integer matrix with a
-graph's pattern, and returns the nullity of a principal block, which bounds
-a forcing number from below: Z >= M >= null(A) for a symmetric A (AIM
-Minimum Rank Work Group, LAA 2008), Z_plus >= M_plus >= null(P) for a
+graph's pattern, and returns the nullity of each component's block, whose
+sum bounds a forcing number from below: Z >= M >= null(A) for a symmetric A
+(AIM Minimum Rank Work Group, LAA 2008), Z_plus >= M_plus >= null(P) for a
 positive semidefinite P, and Z_minus >= M_minus >= null(K) for a
-skew-symmetric K (IMA-ISU, LAA 2010).  Every check is integer arithmetic.
-A vertex is an ``int`` in range, never a bool.  The only imports are
-``enum`` and ``Graph``, ``Record`` and ``bits``: no search code.
+skew-symmetric K (IMA-ISU, LAA 2010).  ``check_report`` replays every
+certificate of a ``verify-paper`` JSON report through these checks and gives
+one verdict per claim.  Every check is integer arithmetic.  A vertex is an
+``int`` in range, never a bool.  The only imports are ``enum`` and
+``Graph``, ``Record``, ``bits``, ``components`` and ``parse_graph6``: no
+search code.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .graphs import Graph, Record, bits
+from .graphs import Graph, Record, bits, components, parse_graph6
 
 
 class Rule(enum.Enum):
@@ -108,8 +111,12 @@ class SkewWitness(Record):
 
     @classmethod
     def from_json(cls, graph: Graph, data: dict) -> "SkewWitness":
+        edges = data["edges"]
+        if not (isinstance(edges, (list, tuple))
+                and all(isinstance(e, (list, tuple)) and len(e) == 3 for e in edges)):
+            raise ValueError(f"edges must be a list of [i, j, value] triples, got {edges!r}")
         # through str, so that a JSON 1.5 or true is refused, not read as 1
-        entries = [(i, j, int(str(v))) for i, j, v in data["edges"]]
+        entries = [(i, j, int(str(v))) for i, j, v in edges]
         return cls(graph, entries, data["nullity"], data["certified"], data.get("seed"))
 
 
@@ -222,17 +229,21 @@ class MatrixCertificate(Record):
         return cls(data["kind"], [[int(str(v)) for v in row] for row in rows])
 
 
-def matrix_nullity(g: Graph, cert: MatrixCertificate, rule: Rule, part: int | None = None) -> int:
-    """Nullity of the principal block of ``cert`` on the vertex mask ``part``
-    (default: all of g), a lower bound on the forcing number under ``rule`` of
-    any union of g's components that ``part`` spans.
+def matrix_nullity(g: Graph, cert: MatrixCertificate, rule: Rule) -> list[int]:
+    """Nullity of each component's principal block of ``cert``, in
+    ``components(g)`` order: a lower bound on that component's forcing
+    number under ``rule``, so their sum bounds g's.
+
+    The matrix has g's pattern, so it is block-diagonal over g's components:
+    the block nullities sum to its nullity, and it is positive semidefinite
+    exactly when every block is.  The pattern is checked once, for all.
 
     Raises ValueError unless the kind bounds the rule (``symmetric`` or
     ``psd`` for the standard rule, ``psd`` for psd, ``skew`` for skew), the
     matrix is n-by-n with ``int`` entries (no bool), its off-diagonal
     entries are nonzero exactly on g's edges, it is symmetric (skew: its
-    transpose is its negation, with a zero diagonal), and, for ``psd``, the
-    block is positive semidefinite.
+    transpose is its negation, with a zero diagonal), and, for ``psd``, it
+    is positive semidefinite.
     """
     fits = {Rule.STANDARD: ("symmetric", "psd"), Rule.PSD: ("psd",), Rule.SKEW: ("skew",)}
     if cert.kind not in fits[rule]:
@@ -254,6 +265,72 @@ def matrix_nullity(g: Graph, cert: MatrixCertificate, rule: Rule, part: int | No
             if value != sign * rows[j][i]:
                 raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not "
                                  f"{'skew-' if sign < 0 else ''}symmetric")
-    verts = list(bits(g.full_mask if part is None else part & g.full_mask))
-    block = [[rows[i][j] for j in verts] for i in verts]
-    return len(verts) - _int_rank(block, psd=cert.kind == "psd")
+    nullities = []
+    for comp in components(g):
+        verts = list(bits(comp))
+        block = [[rows[i][j] for j in verts] for i in verts]
+        nullities.append(len(verts) - _int_rank(block, psd=cert.kind == "psd"))
+    return nullities
+
+
+def check_report(report: dict) -> dict[str, str]:
+    """One verdict per claim of a ``verify-paper`` JSON report, from the report alone.
+
+    ``"checked"``: every number the claim states is proved by evidence
+    replayed here; ``"upper bound only"``: an exact forcing value whose
+    witness replays but whose ``lower_bound`` is ``{"kind": "search"}``;
+    ``"unchecked"``: nothing to replay; ``"failed: <reason>"``: the evidence
+    does not replay, or does not give the claimed number.  A forcing set is
+    sized against the claim's ``expected`` value, or its ``value`` for an
+    upper-bound claim, and a ``lower_bound`` entry must prove that number;
+    a skew witness's nullity must be the expected one.  A malformed field
+    fails its own claim with the error that names it, never the call; only
+    a report that is not a ``claims`` list of objects with a ``claim_id``
+    raises.
+    """
+    verdicts = {}
+    for claim in report["claims"]:
+        try:
+            verdicts[claim["claim_id"]] = _claim_verdict(claim["certificates"], claim["expected"])
+        except Exception as exc:  # malformed evidence fails its claim, not the report
+            verdicts[claim["claim_id"]] = f"failed: {type(exc).__name__}: {exc}"
+    return verdicts
+
+
+def _claim_verdict(certs: dict, expected) -> str:
+    if "witness" in certs:  # a skew witness, whose nullity bounds Z_minus from below
+        g = parse_graph6(certs["graph6"])
+        nullity = g.n - exact_rank(SkewWitness.from_json(g, certs["witness"]))
+        if nullity != expected["nullity"]:
+            return f"failed: the witness has nullity {nullity}, not {expected['nullity']}"
+        return "checked"
+    if "certificate" not in certs:
+        return "unchecked"
+    g = parse_graph6(certs["graph6"])
+    cert = ForcingCertificate.from_json(certs["certificate"])
+    if not verify_certificate(g, cert):
+        return "failed: the forcing certificate does not replay"
+    exact = type(expected) is int  # else a True claim: a set that closes, or an upper bound
+    if not exact and "value" not in certs:
+        return "checked"
+    value = expected if exact else certs["value"]
+    if len(cert.initial) != value:
+        return f"failed: the forcing set has {len(cert.initial)} vertices, not {value}"
+    bound = certs["lower_bound"]
+    if bound["kind"] == "search":
+        return "upper bound only" if exact else "checked"
+    if bound["kind"] == "matrix":
+        proved = sum(matrix_nullity(g, MatrixCertificate.from_json(bound["certificate"]),
+                                    cert.rule))
+    elif bound["kind"] == "degree":  # Z, Z_plus >= delta and Z_minus >= delta - 1, per component
+        parts = [list(bits(comp)) for comp in components(g)]
+        degrees = [max(min(g.degree(v) for v in part) - (cert.rule is Rule.SKEW), 0)
+                   for part in parts]
+        if bound["components"] != parts or bound["bounds"] != degrees:
+            return f"failed: the degree bounds per component are {degrees} on {parts}"
+        proved = sum(degrees)
+    else:
+        return f"failed: unknown lower_bound kind {bound['kind']!r}"
+    if proved != value:
+        return f"failed: the {bound['kind']} lower bound proves {proved}, not {value}"
+    return "checked"

@@ -247,7 +247,8 @@ def _skew_nullity(which: int, seed: int) -> tuple[object, dict]:
     z_minus = _zf_claim(g, Rule.SKEW)[0]
     rank = exact_rank(witness)
     replayed = g.n - rank
-    certs = {"witness": witness.to_json(),
+    certs = {"graph6": graphs.emit_graph6(g),
+             "witness": witness.to_json(),
              "replayed_rank": rank,
              "z_minus": z_minus}
     computed = {"nullity": replayed,

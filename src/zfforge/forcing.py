@@ -479,25 +479,25 @@ def zero_forcing_number(g: Graph, rule: Rule, *, budget: int = 10 ** 8,
     components spend from one Budget of ``budget`` search steps, the
     solver's only limit; a budget below 1 is a ValueError.
 
-    A ``lower_bound`` matrix is checked by ``certify.matrix_nullity`` on
-    every component, and a failed check (a kind that does not bound the
-    rule included) raises its ValueError.  Each component's search then
-    starts from the larger of its degree bound and its block's nullity, so
-    it stops at its first incumbent of that size, the set it would have
-    returned anyway: the value and witness are those of the plain solve.
+    A ``lower_bound`` matrix is checked once by ``certify.matrix_nullity``,
+    and a failed check (a kind that does not bound the rule included)
+    raises its ValueError.  Each component's search then starts from the
+    larger of its degree bound and its block's nullity, so it stops at its
+    first incumbent of that size, the set it would have returned anyway:
+    the value and witness are those of the plain solve.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     state = Budget(budget)
     initial, tables = 0, None  # g's tables, when g is its one component
-    for comp in components(g):
+    comps = components(g)
+    nullities = [0] * len(comps) if lower_bound is None else matrix_nullity(g, lower_bound, rule)
+    for comp, nullity in zip(comps, nullities):
         sub, verts = induced_subgraph(g, comp)
         sub_tables = _chunk_tables(sub.adj)
         if sub is g:
             tables = sub_tables
-        bound = _lower_bound(sub, rule)
-        if lower_bound is not None:
-            bound = max(bound, matrix_nullity(g, lower_bound, rule, comp))
+        bound = max(_lower_bound(sub, rule), nullity)
         for i in bits(_component_minimum(sub, sub_tables, rule, state, bound)):
             initial |= 1 << verts[i]
 

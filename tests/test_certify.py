@@ -1,6 +1,9 @@
 import ast
+import copy
+import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from oracles import fraction_rank, principal_minors_psd
 from zfforge import certify, forcing, skew_rank
 from zfforge.certify import (ForcingCertificate, MatrixCertificate, Rule, SkewWitness,
-                             _int_rank, exact_rank, matrix_nullity)
+                             _int_rank, check_report, exact_rank, matrix_nullity)
+from zfforge.claims import run_claims
 from zfforge.constructions import (hollow_matrix, shifted_adjacency, shrikhande, tensor_bound,
                                    tensor_family, torus_bound)
 from zfforge.forcing import zero_forcing_number
@@ -129,6 +133,12 @@ def test_forcing_certificate_from_json_names_the_malformed_field(data, field):
         ForcingCertificate.from_json(data)
 
 
+@pytest.mark.parametrize("edges", [0, [[0, 1]]])
+def test_skew_witness_from_json_names_the_malformed_field(edges):
+    with pytest.raises(ValueError, match="edges"):
+        SkewWitness.from_json(path(3), {"edges": edges, "nullity": 1, "certified": False})
+
+
 def test_forcing_certificate_from_json_round_trips():
     cert = ForcingCertificate(Rule.PSD, [0, 2], [(0, 1), (2, 3)])
     assert ForcingCertificate.from_json(cert.to_json()) == cert
@@ -209,16 +219,14 @@ def test_matrix_mutations_raise_in_the_checker_and_the_solver(case):
 
 
 def test_unmutated_matrices_pass_the_checker():
+    # one nullity per component: (C6 u K1) x K3 is 18 vertices and three isolated ones
     g, cert = _ex32_tensor()
-    assert matrix_nullity(g, cert, Rule.STANDARD) == 13
+    assert matrix_nullity(g, cert, Rule.STANDARD) == [10, 1, 1, 1]
     mate = shrikhande()
     for rule in (Rule.STANDARD, Rule.PSD):
-        assert matrix_nullity(mate, shifted_adjacency(mate, 2), rule) == 9
+        assert matrix_nullity(mate, shifted_adjacency(mate, 2), rule) == [9]
     skew = MatrixCertificate.from_witness(max_nullity_witness_search(ex32_g(), seed=0))
-    assert matrix_nullity(ex32_g(), skew, Rule.SKEW) == 3
-    # a principal block: the isolated vertex of C6 u K1, and the cycle
-    assert matrix_nullity(ex32_g(), skew, Rule.SKEW, 1 << 6) == 1
-    assert matrix_nullity(ex32_g(), skew, Rule.SKEW, (1 << 6) - 1) == 2
+    assert matrix_nullity(ex32_g(), skew, Rule.SKEW) == [2, 1]
 
 
 def _random_pattern_matrix(rng, n, density):
@@ -244,11 +252,11 @@ def test_matrix_nullity_matches_sympy_rank_on_seeded_matrices():
         rows = _random_pattern_matrix(rng, n, rng.choice((0.2, 0.5, 0.9)))
         g = _pattern_of(rows)
         want = n - sympy.Matrix(rows).rank()
-        assert matrix_nullity(g, MatrixCertificate("symmetric", rows), Rule.STANDARD) == want
+        assert sum(matrix_nullity(g, MatrixCertificate("symmetric", rows), Rule.STANDARD)) == want
         skew = [[rows[i][j] if i < j else -rows[j][i] if i > j else 0 for j in range(n)]
                 for i in range(n)]
         want = n - sympy.Matrix(skew).rank()
-        assert matrix_nullity(g, MatrixCertificate("skew", skew), Rule.SKEW) == want
+        assert sum(matrix_nullity(g, MatrixCertificate("skew", skew), Rule.SKEW)) == want
 
 
 def test_psd_check_matches_the_principal_minor_oracle_on_seeded_matrices():
@@ -271,7 +279,7 @@ def test_psd_check_matches_the_principal_minor_oracle_on_seeded_matrices():
         cert = MatrixCertificate("psd", rows)
         g = _pattern_of(rows)
         if psd:
-            assert matrix_nullity(g, cert, Rule.PSD) == n - sympy.Matrix(rows).rank()
+            assert sum(matrix_nullity(g, cert, Rule.PSD)) == n - sympy.Matrix(rows).rank()
             assert _int_rank(rows, psd=True) == _int_rank(rows)
         else:
             with pytest.raises(ValueError, match="not positive semidefinite"):
@@ -284,12 +292,100 @@ def test_hollow_and_tensor_matrices_reach_the_tensor_values():
     for g, weights, z_minus in ((ex32_g(), (1, 1, 1, 1, 1, -1), 3), (ex32_gprime(), None, 1)):
         base = hollow_matrix(g, weights)
         witness = MatrixCertificate.from_witness(max_nullity_witness_search(g, seed=0))
-        assert matrix_nullity(g, base, Rule.STANDARD) == z_minus
-        assert matrix_nullity(g, witness, Rule.SKEW) == z_minus
+        assert sum(matrix_nullity(g, base, Rule.STANDARD)) == z_minus
+        assert sum(matrix_nullity(g, witness, Rule.SKEW)) == z_minus
         for r in (3, 4, 5):
             product = tensor(g, complete(r))
             value = (r - 2) * g.n + 2 * z_minus
-            assert matrix_nullity(product, tensor_bound(witness, r), Rule.STANDARD) == value
-            assert matrix_nullity(product, tensor_bound(base, r), Rule.SKEW) == value
+            assert sum(matrix_nullity(product, tensor_bound(witness, r), Rule.STANDARD)) == value
+            assert sum(matrix_nullity(product, tensor_bound(base, r), Rule.SKEW)) == value
     with pytest.raises(ValueError, match="6 weights for 5 edges"):
         hollow_matrix(path(6), (1,) * 6)
+
+
+@pytest.fixture(scope="module")
+def seed0_report():
+    # what a reader holds: the seed-0 report after a trip through JSON
+    return json.loads(json.dumps({"claims": [r.to_json() for r in run_claims()]}))
+
+
+def test_check_report_gives_the_seed0_scoreboard(seed0_report):
+    verdicts = check_report(seed0_report)
+    assert list(verdicts) == [claim["claim_id"] for claim in seed0_report["claims"]]
+    assert Counter(verdicts.values()) == {"checked": 21, "upper bound only": 13, "unchecked": 28}
+
+
+def _claim(report, claim_id):
+    return next(c for c in report["claims"] if c["claim_id"] == claim_id)
+
+
+def _certs(report, claim_id):
+    return _claim(report, claim_id)["certificates"]
+
+
+def _reverse_first_force(report):
+    _certs(report, "fig1.Z.left")["certificate"]["forces"][0].reverse()
+
+
+def _drop_initial_vertex(report):
+    _certs(report, "tensor.Z.G")["certificate"]["initial"].pop()
+
+
+def _raise_expected(report):
+    _claim(report, "fig1.Zplus.right")["expected"] += 1
+
+
+def _zero_matrix_entry(report):
+    rows = _certs(report, "tensor.Z.G")["lower_bound"]["certificate"]["rows"]
+    j = next(j for j, value in enumerate(rows[0]) if value)
+    rows[0][j] = rows[j][0] = 0
+
+
+def _raise_degree_bound(report):
+    _certs(report, "fig1.Z.right")["lower_bound"]["bounds"][0] += 1
+
+
+def _double_witness_entry(report):
+    edge = _certs(report, "ex32.skew_nullity.G")["witness"]["edges"][0]
+    edge[2] = str(2 * int(edge[2]))
+
+
+def _set(claim_id, *path, value):
+    def damage(report):
+        target = _certs(report, claim_id)
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return damage
+
+
+def _delete_rule(report):
+    del _certs(report, "fig1.Zminus.left")["certificate"]["rule"]
+
+
+@pytest.mark.parametrize("damage, claim_id, reason", [
+    pytest.param(_reverse_first_force, "fig1.Z.left", "does not replay", id="illegal force"),
+    pytest.param(_drop_initial_vertex, "tensor.Z.G", "does not replay", id="vertex dropped"),
+    pytest.param(_raise_expected, "fig1.Zplus.right", "has 4 vertices, not 5",
+                 id="witness short of the value"),
+    pytest.param(_zero_matrix_entry, "tensor.Z.G", "on an edge of the pattern",
+                 id="matrix entry zeroed"),
+    pytest.param(_raise_degree_bound, "fig1.Z.right", "degree bounds per component are [4]",
+                 id="degree bound raised"),
+    pytest.param(_double_witness_entry, "ex32.skew_nullity.G", "nullity 1, not 3",
+                 id="skew witness entry changed"),
+    # malformed fields fail their claim, and the verdict names the field
+    pytest.param(_set("fig1.Z.left", "certificate", "initial", value=0), "fig1.Z.left",
+                 "initial", id="initial 0"),
+    pytest.param(_set("ex32.skew_nullity.G", "witness", "edges", value=0),
+                 "ex32.skew_nullity.G", "edges", id="edges 0"),
+    pytest.param(_set("tensor.Z.G", "lower_bound", "certificate", "rows", 0, 0, value="1/2"),
+                 "tensor.Z.G", "'1/2'", id="matrix entry 1/2"),
+    pytest.param(_delete_rule, "fig1.Zminus.left", "KeyError: 'rule'", id="rule missing"),
+])
+def test_check_report_fails_exactly_the_damaged_claim(seed0_report, damage, claim_id, reason):
+    report = copy.deepcopy(seed0_report)
+    damage(report)
+    before, after = check_report(seed0_report), check_report(report)
+    assert after[claim_id].startswith("failed: ") and reason in after[claim_id], after[claim_id]
+    assert {cid for cid in before if before[cid] != after[cid]} == {claim_id}

@@ -10,6 +10,7 @@ import pytest
 
 import zfforge
 from zfforge import claims
+from zfforge.certify import check_report
 from zfforge.claims import claim_ids, evaluate_claim, run_claims, summarize
 from zfforge.constructions import join_family, tensor_family
 from zfforge.forcing import BudgetExceededError
@@ -162,57 +163,39 @@ def test_claim_report_json_shape():
 
 # sha256 of the sorted (claim id, sorted certificate keys) pairs: the report
 # may gain certificate keys, but only deliberately, with this digest updated
-CERTIFICATE_KEYS_SHA256 = "ec937bd47aed41421b0a9a757b9f37d64ce36018cbc3b473191c3599333110e6"
+CERTIFICATE_KEYS_SHA256 = "80b6a5c1fe653a968e0d500f78cb3569fe73880765cbcba9adc3779175393fc0"
+
+
+def _through_json(reports):
+    # what a third party holds: the report JSON, with each solved graph as graph6
+    return json.loads(json.dumps({"claims": [r.to_json() for r in reports]}))
 
 
 def test_attached_certificates_are_self_contained():
-    # a third party holding only the report JSON can replay every forcing
-    # certificate: the solved graph travels with it as graph6
-    from zfforge.forcing import ForcingCertificate, verify_certificate
-    from zfforge.graphs import parse_graph6
-
-    checked = 0
     reports = run_claims(jobs=2)
     keys = sorted((r.claim_id, sorted(r.certificates)) for r in reports)
     assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == CERTIFICATE_KEYS_SHA256
-    for report in reports:
-        certs = report.certificates
-        if "certificate" in certs and "graph6" in certs:
-            g = parse_graph6(certs["graph6"])
-            cert = ForcingCertificate.from_json(certs["certificate"])
-            assert verify_certificate(g, cert), report.claim_id
-            checked += 1
-    assert checked == 32
+    verdicts = check_report(_through_json(reports))
+    carried = [r.claim_id for r in reports if "certificate" in r.certificates]
+    assert len(carried) == 32
+    assert all(verdicts[cid] in ("checked", "upper bound only") for cid in carried)
+    witnesses = [r.claim_id for r in reports if "witness" in r.certificates]
+    assert witnesses == ["ex32.skew_nullity.G", "ex32.skew_nullity.Gprime"]
+    assert all(verdicts[cid] == "checked" for cid in witnesses)
 
 
 def test_every_forcing_value_says_what_proves_it_minimal():
-    # the nine matrix entries replay from the report alone to the value, and
-    # each degree entry is the per-component minimum degree (less one under
-    # skew), summing to the value; every other solve was proved by search
-    from zfforge.certify import MatrixCertificate, Rule, matrix_nullity
-    from zfforge.graphs import bits, components, parse_graph6
-
+    # the matrix and degree entries check from the report alone; every other
+    # solve was proved by search, which leaves its exact value an upper bound
+    report = _through_json(run_claims())
+    verdicts = check_report(report)
     kinds = {}
-    for report in json.loads(json.dumps([r.to_json() for r in run_claims()])):
-        certs = report["certificates"]
+    for claim in report["claims"]:
+        certs = claim["certificates"]
         if "closure_evaluations" not in certs:  # not a _zf_claim solve
-            assert "lower_bound" not in certs, report["claim_id"]
+            assert "lower_bound" not in certs, claim["claim_id"]
             continue
-        bound, g = certs["lower_bound"], parse_graph6(certs["graph6"])
-        rule = Rule(certs["certificate"]["rule"])
-        value = certs.get("value", report["computed"])
-        kinds.setdefault(bound["kind"], []).append(report["claim_id"])
-        if bound["kind"] == "matrix":
-            cert = MatrixCertificate.from_json(bound["certificate"])
-            assert matrix_nullity(g, cert, rule) == value, report["claim_id"]
-        elif bound["kind"] == "degree":
-            parts = [list(bits(p)) for p in components(g)]
-            assert bound["components"] == parts
-            degrees = [max(min(g.degree(v) for v in part) - (rule is Rule.SKEW), 0)
-                       for part in parts]
-            assert bound["bounds"] == degrees and sum(degrees) == value
-        else:
-            assert bound == {"kind": "search"}
+        kinds.setdefault(certs["lower_bound"]["kind"], []).append(claim["claim_id"])
     assert sorted(kinds["matrix"]) == [
         "cartesian.Zplus.shrikhande", "cor52.torus.C3C3", "cor52.torus.C4C4",
         "ex32.Zminus.G", "ex32.Zminus.Gprime", "tensor.Z.G", "tensor.Z.Gprime",
@@ -220,7 +203,12 @@ def test_every_forcing_value_says_what_proves_it_minimal():
     assert sorted(kinds["degree"]) == [
         "cartesian.Zplus.r2", "fig1.Z.right", "fig1.Zplus.right",
         "join.family.fig1.Z.right", "regular6k.k2.ZH", "thm51.Z.Gprime"]
+    assert all(verdicts[cid] == "checked" for cid in kinds["matrix"] + kinds["degree"])
+    # the two upper-bound claims need no lower bound
     assert len(kinds["search"]) == 15
+    assert sorted(cid for cid in kinds["search"] if verdicts[cid] == "checked") == [
+        "regular6k.k2.Zbound.Gprime", "regular6k.k3.Zbound.Gprime"]
+    assert sum(verdicts[cid] == "upper bound only" for cid in kinds["search"]) == 13
 
 
 def test_duplicate_claim_id_is_rejected():

@@ -340,6 +340,6 @@ def test_torus_bound_meets_the_formula_on_every_square_torus():
     from zfforge.constructions import torus_bound
     for s in range(3, 8):
         torus = cartesian(cycle(s), cycle(s))
-        assert matrix_nullity(torus, torus_bound(s), Rule.STANDARD) == torus_zero_forcing(s, s)
+        assert matrix_nullity(torus, torus_bound(s), Rule.STANDARD) == [torus_zero_forcing(s, s)]
     with pytest.raises(ValueError, match="s >= 3"):
         torus_bound(2)

@@ -751,7 +751,7 @@ def test_a_weak_matrix_bound_leaves_the_search_to_prove_the_rest():
     # with nullity 9 on it too, below Z_plus = 10: the search proves the rest
     grid = grid_lattice(4)
     weak = shifted_adjacency(grid, 2)
-    assert forcing.matrix_nullity(grid, weak, Rule.PSD) == 9
+    assert forcing.matrix_nullity(grid, weak, Rule.PSD) == [9]
     plain = zero_forcing_number(grid, Rule.PSD)
     bounded = zero_forcing_number(grid, Rule.PSD, lower_bound=weak)
     assert (bounded.value, bounded.witness) == (plain.value, plain.witness)
