@@ -11,10 +11,11 @@ sum bounds a forcing number from below: Z >= M >= null(A) for a symmetric A
 positive semidefinite P, and Z_minus >= M_minus >= null(K) for a
 skew-symmetric K (IMA-ISU, LAA 2010).  ``check_report`` replays every
 certificate of a ``verify-paper`` JSON report through these checks and gives
-one verdict per claim.  Every check is integer arithmetic.  A vertex is an
-``int`` in range, never a bool.  The only imports are ``enum`` and
-``Graph``, ``Record``, ``bits``, ``components`` and ``parse_graph6``: no
-search code.
+one verdict per claim: a forcing set is sized against the number its claim
+states, and its matrix or degree lower bound must prove that number.  Every
+check is integer arithmetic.  A vertex is an ``int`` in range, never a
+bool.  The only imports are ``enum`` and ``Graph``, ``Record``, ``bits``,
+``components`` and ``parse_graph6``: no search code.
 """
 
 from __future__ import annotations
@@ -108,16 +109,6 @@ class SkewWitness(Record):
                 "nullity": self.achieved_nullity,
                 "certified": self.certified,
                 "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, graph: Graph, data: dict) -> "SkewWitness":
-        edges = data["edges"]
-        if not (isinstance(edges, (list, tuple))
-                and all(isinstance(e, (list, tuple)) and len(e) == 3 for e in edges)):
-            raise ValueError(f"edges must be a list of [i, j, value] triples, got {edges!r}")
-        # through str, so that a JSON 1.5 or true is refused, not read as 1
-        entries = [(i, j, int(str(v))) for i, j, v in edges]
-        return cls(graph, entries, data["nullity"], data["certified"], data.get("seed"))
 
 
 def _int_rank(mat: list[list[int]], psd: bool = False) -> int:
@@ -276,14 +267,19 @@ def matrix_nullity(g: Graph, cert: MatrixCertificate, rule: Rule) -> list[int]:
 def check_report(report: dict) -> dict[str, str]:
     """One verdict per claim of a ``verify-paper`` JSON report, from the report alone.
 
+    Every claim with evidence carries it in one shape: a forcing
+    ``certificate`` on its ``graph6``, replayed force by force.  If the
+    claim states an ``at_most`` bound, the set may have at most that many
+    vertices, and the replay is the whole proof.  Otherwise the set must
+    have exactly the claim's ``expected`` value (its ``"nullity"`` when
+    ``expected`` is a dict), and the ``lower_bound`` entry must prove that
+    number minimal.
+
     ``"checked"``: every number the claim states is proved by evidence
     replayed here; ``"upper bound only"``: an exact forcing value whose
     witness replays but whose ``lower_bound`` is ``{"kind": "search"}``;
     ``"unchecked"``: nothing to replay; ``"failed: <reason>"``: the evidence
-    does not replay, or does not give the claimed number.  A forcing set is
-    sized against the claim's ``expected`` value, or its ``value`` for an
-    upper-bound claim, and a ``lower_bound`` entry must prove that number;
-    a skew witness's nullity must be the expected one.  A malformed field
+    does not replay, or does not give the stated number.  A malformed field
     fails its own claim with the error that names it, never the call; only
     a report that is not a ``claims`` list of objects with a ``claim_id``
     raises.
@@ -298,27 +294,27 @@ def check_report(report: dict) -> dict[str, str]:
 
 
 def _claim_verdict(certs: dict, expected) -> str:
-    if "witness" in certs:  # a skew witness, whose nullity bounds Z_minus from below
-        g = parse_graph6(certs["graph6"])
-        nullity = g.n - exact_rank(SkewWitness.from_json(g, certs["witness"]))
-        if nullity != expected["nullity"]:
-            return f"failed: the witness has nullity {nullity}, not {expected['nullity']}"
-        return "checked"
     if "certificate" not in certs:
         return "unchecked"
     g = parse_graph6(certs["graph6"])
     cert = ForcingCertificate.from_json(certs["certificate"])
     if not verify_certificate(g, cert):
         return "failed: the forcing certificate does not replay"
-    exact = type(expected) is int  # else a True claim: a set that closes, or an upper bound
-    if not exact and "value" not in certs:
+    bounded = "at_most" in certs  # an upper bound, which the replayed set proves alone
+    value = (certs["at_most"] if bounded
+             else expected["nullity"] if isinstance(expected, dict) else expected)
+    if type(value) is not int:
+        raise ValueError(f"the claim states no vertex count for its forcing set: {value!r}")
+    size = len(cert.initial)
+    if bounded:
+        if size > value:
+            return f"failed: the forcing set has {size} vertices, more than {value}"
         return "checked"
-    value = expected if exact else certs["value"]
-    if len(cert.initial) != value:
-        return f"failed: the forcing set has {len(cert.initial)} vertices, not {value}"
+    if size != value:
+        return f"failed: the forcing set has {size} vertices, not {value}"
     bound = certs["lower_bound"]
     if bound["kind"] == "search":
-        return "upper bound only" if exact else "checked"
+        return "upper bound only"
     if bound["kind"] == "matrix":
         proved = sum(matrix_nullity(g, MatrixCertificate.from_json(bound["certificate"]),
                                     cert.rule))

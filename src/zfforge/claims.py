@@ -16,6 +16,8 @@ solves, replays the witness independently and attaches it, with a
 ``lower_bound`` entry that says what proves the value minimal: a checked
 integer matrix the solve was given (``"matrix"``), the minimum degree of
 each component (``"degree"``), or else the exhaustive search (``"search"``).
+A claim that a forcing set closes with at most some number of vertices states
+that number as ``"at_most"`` beside the set.
 
 ``run_claims`` evaluates any id-prefix slice of the catalog, optionally
 across processes, and always reports in canonical id order.  The process
@@ -39,7 +41,7 @@ from .certify import MatrixCertificate
 from .forcing import (BudgetExceededError, Rule, closure, verify_certificate,
                       zero_forcing_number, zf_join_formula_check)
 from .randgraphs import random_connected_graph, random_graph, random_regular_graph
-from .skew_rank import exact_rank, max_nullity_witness_search
+from .skew_rank import max_nullity_witness_search
 from .spectra import (MatrixKind, char_poly, laplacian_join_identity_check,
                       regular_cospectral_report, regular_join_adjacency_check)
 
@@ -172,7 +174,7 @@ def _zf_matrix(graph: Callable[[], graphs.Graph], rule: Rule,
 
 def _zf_at_most(graph: Callable[[], graphs.Graph], bound: int, seed: int) -> tuple[object, dict]:
     value, certs = _zf_claim(graph(), Rule.STANDARD)
-    return certs["independent_replay"] and value <= bound, {"value": value, **certs}
+    return certs["independent_replay"] and value <= bound, {"at_most": bound, **certs}
 
 
 @lru_cache(maxsize=None)
@@ -208,11 +210,6 @@ def _noniso(prefix: str, seed: int) -> tuple[object, dict]:
     return not iso, {}
 
 
-def _noniso_with_degrees(prefix: str, seed: int) -> tuple[object, dict]:
-    computed, _certs = _noniso(prefix, seed)
-    return computed, {"degree_sequence": list(_pair(prefix)[0].degree_sequence())}
-
-
 def _regcospec(prefix: str, degree: int, seed: int) -> tuple[object, dict]:
     rep = regular_cospectral_report(*_pair(prefix))
     computed = {"regular": rep.regular and rep.degree == degree,
@@ -238,22 +235,16 @@ def _core_witness(k: int, seed: int) -> tuple[object, dict]:
     h = cons.circulant_h(k)
     final, cert = closure(h, Rule.STANDARD, cons.h_witness_set(k))
     ok = final == h.full_mask and verify_certificate(h, cert)
-    return ok, {"graph6": graphs.emit_graph6(h), "certificate": cert.to_json()}
+    return ok, {"graph6": graphs.emit_graph6(h), "certificate": cert.to_json(),
+                "at_most": 2 * k - 2}
 
 
 def _skew_nullity(which: int, seed: int) -> tuple[object, dict]:
-    g = _pair("ex32")[which]
-    witness = _ex32_witness(which, seed)
-    z_minus = _zf_claim(g, Rule.SKEW)[0]
-    rank = exact_rank(witness)
-    replayed = g.n - rank
-    certs = {"graph6": graphs.emit_graph6(g),
-             "witness": witness.to_json(),
-             "replayed_rank": rank,
-             "z_minus": z_minus}
-    computed = {"nullity": replayed,
-                "equals_skew_forcing_number": replayed == z_minus}
-    return computed, certs
+    # the evidence of ex32.Zminus: the witness's matrix proves its nullity and,
+    # bounding the solve, that the nullity is Z_minus
+    value, certs = _zf_claim(_pair("ex32")[which], Rule.SKEW, _ex32_skew(which, seed))
+    nullity = _ex32_witness(which, seed).achieved_nullity
+    return {"nullity": nullity, "equals_skew_forcing_number": nullity == value}, certs
 
 
 def _joined_with_k2(prefix: str, seed: int) -> tuple[object, dict]:
@@ -313,7 +304,7 @@ _CATALOG = (
     ("fig1.Zminus.right", "skew forcing number of the right fixture", "paper", 4,
      _zf, _member("fig1", 1), Rule.SKEW),
     ("fig1.cospectral.A", "fixture pair shares its adjacency char poly", "paper", True, _cospectral, "fig1"),
-    ("fig1.noniso", "fixture pair is non-isomorphic", "paper", True, _noniso_with_degrees, "fig1"),
+    ("fig1.noniso", "fixture pair is non-isomorphic", "paper", True, _noniso, "fig1"),
     ("regcospec.fig1", "fixture pair: regular, so cospectral for A, L, Q (verified) and normalized (derived)",
      "derived", _REGCOSPEC_EXPECTED, _regcospec, "fig1", 4),
     ("ex32.Zminus.G", "skew forcing number of the cycle+isolated fixture", "paper", 3,

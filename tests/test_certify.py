@@ -83,15 +83,18 @@ def test_exact_rank_matches_fraction_oracle():
 
 
 def test_package_witnesses_have_int_entries_and_round_trip():
+    # a report carries a witness as its skew matrix, which reads back whole
+    # and ranks as the witness does
     witnesses = [max_nullity_witness_search(build(), seed=seed)
                  for build in (fig1_left, ex32_g, ex32_gprime) for seed in (0, 1009)]
     witnesses.append(tensor_family(ex32_g(), 3).witness)
     for witness in witnesses:
         assert all(type(v) is int for _i, _j, v in witness.entries)
-        back = SkewWitness.from_json(witness.graph, witness.to_json())
-        assert back == witness
-        assert all(type(v) is int for _i, _j, v in back.entries)
-        assert exact_rank(back) == exact_rank(witness)
+        matrix = MatrixCertificate.from_witness(witness)
+        back = MatrixCertificate.from_json(json.loads(json.dumps(matrix.to_json())))
+        assert back == matrix
+        g = witness.graph
+        assert sum(matrix_nullity(g, back, Rule.SKEW)) == g.n - exact_rank(witness)
 
 
 def test_rational_entries_are_refused():
@@ -101,13 +104,6 @@ def test_rational_entries_are_refused():
             exact_rank(SkewWitness(g, [(0, 1, 1), (1, 2, value)], 1, False))
     # a number equal to an int ranks as that int
     assert exact_rank(SkewWitness(g, [(0, 1, Fraction(3)), (1, 2, 2.0)], 1, False)) == 2
-    # from_json reads the strings to_json writes, and JSON integers, as ints
-    for value in ("1/2", 1.5, True):
-        data = {"edges": [[0, 1, "1"], [1, 2, value]], "nullity": 1, "certified": False}
-        with pytest.raises(ValueError):
-            SkewWitness.from_json(g, data)
-    data = {"edges": [[0, 1, "-3"], [1, 2, 2]], "nullity": 1, "certified": False}
-    assert SkewWitness.from_json(g, data).entries == ((0, 1, -3), (1, 2, 2))
 
 
 # (0.0, 1), ("0", 1) and (True, 2) name no vertex: 0.0 and "0" are not ints,
@@ -131,12 +127,6 @@ def test_exact_rank_rejects_vertices_outside_the_graph(first):
 def test_forcing_certificate_from_json_names_the_malformed_field(data, field):
     with pytest.raises(ValueError, match=field):
         ForcingCertificate.from_json(data)
-
-
-@pytest.mark.parametrize("edges", [0, [[0, 1]]])
-def test_skew_witness_from_json_names_the_malformed_field(edges):
-    with pytest.raises(ValueError, match="edges"):
-        SkewWitness.from_json(path(3), {"edges": edges, "nullity": 1, "certified": False})
 
 
 def test_forcing_certificate_from_json_round_trips():
@@ -335,19 +325,25 @@ def _raise_expected(report):
     _claim(report, "fig1.Zplus.right")["expected"] += 1
 
 
-def _zero_matrix_entry(report):
-    rows = _certs(report, "tensor.Z.G")["lower_bound"]["certificate"]["rows"]
-    j = next(j for j, value in enumerate(rows[0]) if value)
-    rows[0][j] = rows[j][0] = 0
+def _zero_matrix_entry(claim_id):
+    def damage(report):
+        rows = _certs(report, claim_id)["lower_bound"]["certificate"]["rows"]
+        j = next(j for j, value in enumerate(rows[0]) if value)
+        rows[0][j] = rows[j][0] = 0
+    return damage
 
 
 def _raise_degree_bound(report):
     _certs(report, "fig1.Z.right")["lower_bound"]["bounds"][0] += 1
 
 
-def _double_witness_entry(report):
-    edge = _certs(report, "ex32.skew_nullity.G")["witness"]["edges"][0]
-    edge[2] = str(2 * int(edge[2]))
+def _initial_from_forces(claim_id, count):
+    # a target of a legal force may start blue instead: the rest still replays
+    def damage(report):
+        cert = _certs(report, claim_id)["certificate"]
+        for _ in range(count):
+            cert["initial"].append(cert["forces"].pop()[1])
+    return damage
 
 
 def _set(claim_id, *path, value):
@@ -363,22 +359,36 @@ def _delete_rule(report):
     del _certs(report, "fig1.Zminus.left")["certificate"]["rule"]
 
 
+def _delete_at_most(report):
+    del _certs(report, "regular6k.k2.Zbound.Gprime")["at_most"]
+
+
 @pytest.mark.parametrize("damage, claim_id, reason", [
     pytest.param(_reverse_first_force, "fig1.Z.left", "does not replay", id="illegal force"),
     pytest.param(_drop_initial_vertex, "tensor.Z.G", "does not replay", id="vertex dropped"),
     pytest.param(_raise_expected, "fig1.Zplus.right", "has 4 vertices, not 5",
                  id="witness short of the value"),
-    pytest.param(_zero_matrix_entry, "tensor.Z.G", "on an edge of the pattern",
+    pytest.param(_zero_matrix_entry("tensor.Z.G"), "tensor.Z.G", "on an edge of the pattern",
                  id="matrix entry zeroed"),
     pytest.param(_raise_degree_bound, "fig1.Z.right", "degree bounds per component are [4]",
                  id="degree bound raised"),
-    pytest.param(_double_witness_entry, "ex32.skew_nullity.G", "nullity 1, not 3",
-                 id="skew witness entry changed"),
+    # the skew witness travels as the matrix that bounds the claim's solve
+    pytest.param(_zero_matrix_entry("ex32.skew_nullity.G"), "ex32.skew_nullity.G",
+                 "on an edge of the pattern", id="skew witness entry changed"),
+    # a set that replays still fails when it is larger than the number its
+    # claim states, or when the claim states no number
+    pytest.param(_initial_from_forces("regular6k.k3.ZH.witness", 4), "regular6k.k3.ZH.witness",
+                 "8 vertices, more than 4", id="core witness of every vertex"),
+    pytest.param(_initial_from_forces("regular6k.k2.Zbound.Gprime", 3),
+                 "regular6k.k2.Zbound.Gprime", "8 vertices, more than 5",
+                 id="upper bound exceeded"),
+    pytest.param(_initial_from_forces("ex32.skew_nullity.G", 1), "ex32.skew_nullity.G",
+                 "4 vertices, not 3", id="skew nullity set padded"),
+    pytest.param(_delete_at_most, "regular6k.k2.Zbound.Gprime", "states no vertex count",
+                 id="upper bound missing"),
     # malformed fields fail their claim, and the verdict names the field
     pytest.param(_set("fig1.Z.left", "certificate", "initial", value=0), "fig1.Z.left",
                  "initial", id="initial 0"),
-    pytest.param(_set("ex32.skew_nullity.G", "witness", "edges", value=0),
-                 "ex32.skew_nullity.G", "edges", id="edges 0"),
     pytest.param(_set("tensor.Z.G", "lower_bound", "certificate", "rows", 0, 0, value="1/2"),
                  "tensor.Z.G", "'1/2'", id="matrix entry 1/2"),
     pytest.param(_delete_rule, "fig1.Zminus.left", "KeyError: 'rule'", id="rule missing"),

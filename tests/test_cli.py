@@ -293,7 +293,7 @@ def test_verify_paper_json_report(tmp_path, capsys):
 # sha256 of the seed-0 --json report with every claim's wall_time removed,
 # serialised with sorted keys: every other field, certificates included, is
 # a pure function of the seed
-REPORT_SEED0_SHA256 = "069ee8a2a711aabfc8ee1e55b7348b6a758ad38fe0fb9a28f4146887bab566ae"
+REPORT_SEED0_SHA256 = "be2e2c1832bce083d236037a5ae1c504394efb9f594ffa2007ac17153ec431a4"
 
 
 def test_verify_paper_json_report_is_pinned(tmp_path, capsys):

@@ -306,7 +306,11 @@ def test_grid_shrikhande_report():
     assert report.product_upper_bound == 99
     assert report.product_lower_bound == 100
     assert report.separation_holds
-    assert report.adjacency_cospectral and not report.isomorphic
+    # the report is bound arithmetic only: that the pair is cospectral and not
+    # isomorphic is test_gm_switch_rook_gives_cospectral_nonisomorphic_mate's
+    assert report.to_json() == {"r": 11, "zplus_grid": 10, "zplus_switched": 9,
+                                "product_upper_bound": 99, "product_lower_bound": 100,
+                                "separation_holds": True}
     with pytest.raises(ValueError):
         grid_shrikhande_report(10, zplus_grid, zplus_switched)
 

@@ -135,9 +135,9 @@ def test_witness_json_roundtrip():
     data = witness.to_json()
     assert data["nullity"] == witness.achieved_nullity
     assert data["seed"] == 9
-    back = SkewWitness.from_json(g, data)
-    assert back.entries == witness.entries
-    assert exact_rank(back) == exact_rank(witness)
+    assert data["edges"] == [[i, j, str(v)] for i, j, v in witness.entries]
+    assert all(type(v) is int for _i, _j, v in witness.entries)
+    assert g.n - exact_rank(witness) == witness.achieved_nullity
 
 
 def test_int_rank_matches_fraction_elimination():
