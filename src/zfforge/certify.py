@@ -1,21 +1,22 @@
 """Certificate formats and their checkers, apart from every search.
 
 ``verify_certificate`` replays a ``ForcingCertificate`` (an initial blue set
-and ordered (actor, target) forces) force by force.  ``exact_rank`` checks
-that a ``SkewWitness`` realises its graph's skew pattern with integers and
-ranks it with ``_int_rank``, the package's one rank routine.
-``matrix_nullity`` checks a ``MatrixCertificate``, an integer matrix with a
-graph's pattern, and returns the nullity of each component's block, whose
-sum bounds a forcing number from below: Z >= M >= null(A) for a symmetric A
-(AIM Minimum Rank Work Group, LAA 2008), Z_plus >= M_plus >= null(P) for a
-positive semidefinite P, and Z_minus >= M_minus >= null(K) for a
-skew-symmetric K (IMA-ISU, LAA 2010).  ``check_report`` replays every
-certificate of a ``verify-paper`` JSON report through these checks and gives
-one verdict per claim: a forcing set is sized against the number its claim
-states, and its matrix or degree lower bound must prove that number.  Every
-check is integer arithmetic.  A vertex is an ``int`` in range, never a
-bool.  The only imports are ``enum`` and ``Graph``, ``Record``, ``bits``,
-``components`` and ``parse_graph6``: no search code.
+and ordered (actor, target) forces) force by force.  ``matrix_nullity``
+checks a ``MatrixCertificate``, an integer matrix with a graph's pattern,
+and returns the nullity of each component's block, ranked by ``_int_rank``,
+the package's one rank routine.  Their sum bounds a forcing number from
+below: Z >= M >= null(A) for a symmetric A (AIM Minimum Rank Work Group,
+LAA 2008), Z_plus >= M_plus >= null(P) for a positive semidefinite P, and
+Z_minus >= M_minus >= null(K) for a skew-symmetric K (IMA-ISU, LAA 2010).
+A ``SkewWitness`` is the skew matrix a witness search found, with the
+nullity the search claims; ``exact_rank`` ranks it through
+``matrix_nullity``, the only check of a skew realisation.  ``check_report``
+replays every certificate of a ``verify-paper`` JSON report through these
+checks and gives one verdict per claim: a forcing set is sized against the
+number its claim states, and its matrix or degree lower bound must prove
+that number.  Every check is integer arithmetic.  A vertex is an ``int``
+in range, never a bool.  The only imports are ``enum`` and ``Graph``,
+``Record``, ``bits``, ``components`` and ``parse_graph6``: no search code.
 """
 
 from __future__ import annotations
@@ -90,27 +91,6 @@ def verify_certificate(g: Graph, cert: ForcingCertificate, require_all_blue: boo
     return True
 
 
-class SkewWitness(Record):
-    """Integer entry assignment realising a graph's skew pattern, with its nullity.
-
-    ``certified`` records that the search that produced this witness fully
-    enumerated its normalized small-integer grid (randomized or truncated
-    searches report False).  The nullity itself is always replayable.
-    """
-
-    __slots__ = ("graph", "entries", "achieved_nullity", "certified", "seed")
-    _defaults = {"seed": None}
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple([(i, j, v) for i, j, v in self.entries]))
-
-    def to_json(self) -> dict:
-        return {"edges": [[i, j, str(v)] for i, j, v in self.entries],
-                "nullity": self.achieved_nullity,
-                "certified": self.certified,
-                "seed": self.seed}
-
-
 def _int_rank(mat: list[list[int]], psd: bool = False) -> int:
     """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination.
 
@@ -158,37 +138,6 @@ def _int_rank(mat: list[list[int]], psd: bool = False) -> int:
     return rank
 
 
-def exact_rank(witness: SkewWitness) -> int:
-    """Rank of the realised matrix over the rationals; always even.
-
-    Raises ValueError unless the entries give each edge of the graph, and
-    nothing else, one nonzero integer in the upper triangle.
-    """
-    g, seen = witness.graph, set()
-    mat = [[0] * g.n for _ in range(g.n)]
-    for i, j, value in witness.entries:
-        ints = type(i) is int and type(j) is int  # no bool, no float
-        if ints and i >= j:
-            raise ValueError(f"entries use the upper triangle; got ({i},{j})")
-        if not (ints and 0 <= i and j < g.n and g.has_edge(i, j)):
-            raise ValueError(f"entry ({i},{j}) is not an edge of the pattern")
-        if (i, j) in seen:
-            raise ValueError(f"entry ({i},{j}) is listed more than once")
-        if value == 0:
-            raise ValueError(f"entry ({i},{j}) must be nonzero")
-        if int(value) != value:
-            raise ValueError(f"entry ({i},{j}) must be an integer")
-        seen.add((i, j))
-        mat[i][j], mat[j][i] = int(value), -int(value)
-    missing = set(g.edges()) - seen
-    if missing:
-        raise ValueError(f"pattern edges without entries: {sorted(missing)}")
-    rank = _int_rank(mat)
-    if rank % 2:
-        raise ArithmeticError("skew-symmetric rank came out odd; elimination bug")
-    return rank
-
-
 class MatrixCertificate(Record):
     """An integer matrix, given by its rows, meant to carry a graph's pattern.
 
@@ -201,15 +150,6 @@ class MatrixCertificate(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple([tuple(row) for row in self.rows]))
-
-    @classmethod
-    def from_witness(cls, witness: SkewWitness) -> "MatrixCertificate":
-        """The skew matrix a witness realises: b_ij on each listed entry, -b_ij below."""
-        n = witness.graph.n
-        rows = [[0] * n for _ in range(n)]
-        for i, j, value in witness.entries:
-            rows[i][j], rows[j][i] = value, -value
-        return cls("skew", rows)
 
     @classmethod
     def from_json(cls, data: dict) -> "MatrixCertificate":
@@ -262,6 +202,36 @@ def matrix_nullity(g: Graph, cert: MatrixCertificate, rule: Rule) -> list[int]:
         block = [[rows[i][j] for j in verts] for i in verts]
         nullities.append(len(verts) - _int_rank(block, psd=cert.kind == "psd"))
     return nullities
+
+
+class SkewWitness(Record):
+    """A skew ``MatrixCertificate`` realising a graph's skew pattern, with the
+    nullity its search claims for it.
+
+    ``certified`` records that the search that produced this witness fully
+    enumerated its normalized small-integer grid (randomized or truncated
+    searches report False).  The nullity itself is always replayable.
+    """
+
+    __slots__ = ("graph", "matrix", "achieved_nullity", "certified", "seed")
+    _defaults = {"seed": None}
+
+    def to_json(self) -> dict:
+        rows = self.matrix.rows
+        return {"edges": [[i, j, str(rows[i][j])] for i, j in self.graph.edges()],
+                "nullity": self.achieved_nullity,
+                "certified": self.certified,
+                "seed": self.seed}
+
+
+def exact_rank(witness: SkewWitness) -> int:
+    """Rank over the rationals of the witness's matrix; always even.  Raises
+    ValueError unless ``matrix_nullity`` finds a skew matrix with the pattern."""
+    g = witness.graph
+    rank = g.n - sum(matrix_nullity(g, witness.matrix, Rule.SKEW))
+    if rank % 2:
+        raise ArithmeticError("skew-symmetric rank came out odd; elimination bug")
+    return rank
 
 
 def check_report(report: dict) -> dict[str, str]:

@@ -148,7 +148,7 @@ def _ex32_witness(which: int, seed: int):
 
 
 def _ex32_skew(which: int, seed: int) -> MatrixCertificate:
-    return MatrixCertificate.from_witness(_ex32_witness(which, seed))
+    return _ex32_witness(which, seed).matrix
 
 
 def _tensor_symmetric(which: int, seed: int) -> MatrixCertificate:

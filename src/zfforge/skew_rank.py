@@ -1,10 +1,10 @@
 """Low-rank witness search for skew patterns.
 
-A witness realises a graph's skew pattern: an n-by-n matrix B with b_ij
-nonzero exactly on edges (upper triangle stored; the lower triangle is the
-negation) and zero diagonal.  Any realised nullity is a certified lower
-bound on the pattern's maximum skew nullity, because the witness itself is
-the certificate (replay with ``certify.exact_rank``).  When a found nullity
+A witness realises a graph's skew pattern: an n-by-n skew
+``MatrixCertificate`` B with b_ij nonzero exactly on edges, b_ji = -b_ij
+and a zero diagonal.  Any realised nullity is a certified lower bound on
+the pattern's maximum skew nullity, because the witness itself is the
+certificate (replay with ``certify.exact_rank``).  When a found nullity
 meets the skew forcing number from the solver, the two quantities coincide,
 since the forcing number bounds the nullity from above.
 
@@ -16,8 +16,9 @@ therefore pins forest entries to +1 and ranges the remaining entries over
 Entries are ints throughout, the only entries ``exact_rank`` accepts: each
 sample is written into one integer matrix per component and ranked by
 fraction-free integer elimination (``certify._int_rank``), which is exact
-over the rationals, and the final witness is replayed end to end by
-``exact_rank``, which checks its pattern and ranks it with the same routine.
+over the rationals.  Each component's chosen entries go into one n-by-n
+matrix, the witness, which ``exact_rank`` replays end to end: it checks
+the pattern and ranks with the same routine, through ``matrix_nullity``.
 
 Parity bound: the rank over GF(2) of a sample's matrix mod 2 never exceeds
 its rank over the rationals, since a minor that is nonzero mod 2 is a
@@ -41,7 +42,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .certify import SkewWitness, _int_rank, exact_rank
+from .certify import MatrixCertificate, SkewWitness, _int_rank, exact_rank
 from .graphs import Graph, bits, components, induced_subgraph
 
 _ENTRY_CHOICES = (1, -1, 2, -2, 3, -3)
@@ -115,7 +116,7 @@ def max_nullity_witness_search(g: Graph, *,
     rng = random.Random(seed)
     remaining = budget
     certified = True
-    entries: list[tuple[int, int, int]] = []
+    rows = [[0] * g.n for _ in range(g.n)]  # the witness, one component at a time
     total_rank = 0
     comps = components(g)
 
@@ -156,9 +157,10 @@ def max_nullity_witness_search(g: Graph, *,
             best_rank = _int_rank(mat)
         total_rank += best_rank
         chosen = dict.fromkeys(tree, 1) | dict(zip(free, best_values))
-        entries += [(verts[i], verts[j], v) for (i, j), v in chosen.items()]
+        for (i, j), value in chosen.items():
+            rows[verts[i]][verts[j]], rows[verts[j]][verts[i]] = value, -value
 
-    witness = SkewWitness(g, sorted(entries), g.n - total_rank, certified, seed)
+    witness = SkewWitness(g, MatrixCertificate("skew", rows), g.n - total_rank, certified, seed)
     # replay the merged witness end to end; nullity must match the component sum
     if g.n - exact_rank(witness) != witness.achieved_nullity:
         raise AssertionError("witness nullity failed replay")

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from zfforge.certify import MatrixCertificate
 from zfforge.constructions import circulant_h, h_witness_set
 from zfforge.forcing import Rule, _chunk_tables, _close, closure, zero_forcing_number
 from zfforge.graphs import Graph, bits, components, from_edges, induced_subgraph
@@ -280,6 +281,15 @@ def fraction_rank(g: Graph, entries) -> int:
     return rank
 
 
+def skew_matrix(n: int, entries) -> MatrixCertificate:
+    """The n-by-n skew matrix with ``entries[(i, j)]`` at (i, j) and its
+    negation at (j, i); nothing is checked."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), value in entries.items():
+        rows[i][j], rows[j][i] = value, -value
+    return MatrixCertificate("skew", rows)
+
+
 def unfiltered_witness_search(g: Graph, *, budget: int = 4000, seed: int = 0) -> SkewWitness:
     """``max_nullity_witness_search`` as it was before the parity bound: every
     sample is ranked exactly.  Same grid, same draws, same tie rule."""
@@ -314,16 +324,15 @@ def unfiltered_witness_search(g: Graph, *, budget: int = 4000, seed: int = 0) ->
             rank = _int_rank(mat)
             if best_rank is None or rank < best_rank:
                 best_rank, best_values = rank, values
-        final_map = {e: Fraction(1) for e in tree}
-        final_map.update({e: Fraction(v) for e, v in zip(free, best_values)})
+        final_map = {e: 1 for e in tree}
+        final_map.update(zip(free, best_values))
         if best_rank is None:
             certified = False
             best_rank = fraction_rank(sub, final_map)
         total_rank += best_rank
         for (i, j), value in final_map.items():
             merged[(verts[i], verts[j])] = value
-    entries = tuple(sorted((i, j, v) for (i, j), v in merged.items()))
-    witness = SkewWitness(g, entries, g.n - total_rank, certified, seed)
+    witness = SkewWitness(g, skew_matrix(g.n, merged), g.n - total_rank, certified, seed)
     assert g.n - exact_rank(witness) == witness.achieved_nullity
     return witness
 

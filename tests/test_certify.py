@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_rank, principal_minors_psd
+from oracles import fraction_rank, principal_minors_psd, skew_matrix
 from zfforge import certify, forcing, skew_rank
 from zfforge.certify import (ForcingCertificate, MatrixCertificate, Rule, SkewWitness,
                              _int_rank, check_report, exact_rank, matrix_nullity)
@@ -58,26 +58,25 @@ def test_exact_rank_matches_fraction_oracle():
         for seed in (0, 1009):
             g = build()
             witness = max_nullity_witness_search(g, seed=seed)
-            entries = {(i, j): v for i, j, v in witness.entries}
+            entries = {(i, j): witness.matrix.rows[i][j] for i, j in g.edges()}
             rank = exact_rank(witness)
             assert rank == fraction_rank(g, entries) == g.n - witness.achieved_nullity
-    # seeded patterns with integer entries; the same values as Fractions rank
-    # alike, and one entry off the integers is refused
+    # seeded patterns with integer entries; one entry off the integers, or
+    # the same value as a Fraction, is refused
     rng = random.Random(331)
     choices = [sign * v for v in (1, 2, 3, 7) for sign in (1, -1)]
     refused = 0
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.5, 0.8)))
         entries = {e: rng.choice(choices) for e in g.edges()}
-        rank = fraction_rank(g, entries)
-        for convert in (int, Fraction):
-            listed = [(i, j, convert(v)) for (i, j), v in entries.items()]
-            assert exact_rank(SkewWitness(g, listed, 0, False)) == rank
+        assert exact_rank(SkewWitness(g, skew_matrix(g.n, entries), 0, False)) \
+            == fraction_rank(g, entries)
         if entries:
-            first, *rest = [[i, j, v] for (i, j), v in entries.items()]
-            first[2] += Fraction(1, 2)
-            with pytest.raises(ValueError, match="must be an integer"):
-                exact_rank(SkewWitness(g, [first, *rest], 0, False))
+            first = next(iter(entries))
+            for value in (entries[first] + Fraction(1, 2), Fraction(entries[first])):
+                changed = skew_matrix(g.n, {**entries, first: value})
+                with pytest.raises(ValueError, match="not an integer"):
+                    exact_rank(SkewWitness(g, changed, 0, False))
             refused += 1
     assert refused > 100
 
@@ -89,31 +88,20 @@ def test_package_witnesses_have_int_entries_and_round_trip():
                  for build in (fig1_left, ex32_g, ex32_gprime) for seed in (0, 1009)]
     witnesses.append(tensor_family(ex32_g(), 3).witness)
     for witness in witnesses:
-        assert all(type(v) is int for _i, _j, v in witness.entries)
-        matrix = MatrixCertificate.from_witness(witness)
-        back = MatrixCertificate.from_json(json.loads(json.dumps(matrix.to_json())))
-        assert back == matrix
+        assert all(type(v) is int for row in witness.matrix.rows for v in row)
+        back = MatrixCertificate.from_json(json.loads(json.dumps(witness.matrix.to_json())))
+        assert back == witness.matrix
         g = witness.graph
         assert sum(matrix_nullity(g, back, Rule.SKEW)) == g.n - exact_rank(witness)
 
 
 def test_rational_entries_are_refused():
+    # a number equal to an int, such as Fraction(3) or 2.0, is refused too:
+    # a witness's matrix holds ints, as every other matrix certificate does
     g = path(3)
-    for value in (Fraction(1, 2), Fraction(7, 3), 0.5):
-        with pytest.raises(ValueError, match="must be an integer"):
-            exact_rank(SkewWitness(g, [(0, 1, 1), (1, 2, value)], 1, False))
-    # a number equal to an int ranks as that int
-    assert exact_rank(SkewWitness(g, [(0, 1, Fraction(3)), (1, 2, 2.0)], 1, False)) == 2
-
-
-# (0.0, 1), ("0", 1) and (True, 2) name no vertex: 0.0 and "0" are not ints,
-# and True, though equal to 1, is a bool
-@pytest.mark.parametrize("first", [(-1, 1), (1, 3), (3, 4), (0.0, 1), ("0", 1), (True, 2)])
-def test_exact_rank_rejects_vertices_outside_the_graph(first):
-    # (-1, 1) would read row -1, the last row, where 2 ~ 1 is an edge
-    entries = [(*first, Fraction(1)), (0, 1, Fraction(1)), (1, 2, Fraction(1))]
-    with pytest.raises(ValueError, match="not an edge"):
-        exact_rank(SkewWitness(path(3), entries, 1, False))
+    for value in (Fraction(1, 2), Fraction(7, 3), 0.5, Fraction(3), 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            exact_rank(SkewWitness(g, skew_matrix(3, {(0, 1): 1, (1, 2): value}), 1, False))
 
 
 @pytest.mark.parametrize("data, field", [
@@ -152,7 +140,7 @@ def test_matrix_certificate_from_json_reads_integers_only():
 def _ex32_tensor():
     # the tensor.Z.G graph and its B (x) C, B the seed-0 skew witness of ex32_g
     witness = max_nullity_witness_search(ex32_g(), seed=0)
-    return tensor(ex32_g(), complete(3)), tensor_bound(MatrixCertificate.from_witness(witness), 3)
+    return tensor(ex32_g(), complete(3)), tensor_bound(witness.matrix, 3)
 
 
 def _changed(cert, *changes, kind=None):
@@ -168,7 +156,7 @@ def _mutations():
                                         if not g.has_edge(u, v))
     w = cert.rows[i][j]
     skew_g = ex32_g()
-    skew = MatrixCertificate.from_witness(max_nullity_witness_search(skew_g, seed=0))
+    skew = max_nullity_witness_search(skew_g, seed=0).matrix
     mate = shrikhande()
     return [
         ("a weight set to 0", g, _changed(cert, (i, j, 0), (j, i, 0)), Rule.STANDARD, "on an edge"),
@@ -215,7 +203,7 @@ def test_unmutated_matrices_pass_the_checker():
     mate = shrikhande()
     for rule in (Rule.STANDARD, Rule.PSD):
         assert matrix_nullity(mate, shifted_adjacency(mate, 2), rule) == [9]
-    skew = MatrixCertificate.from_witness(max_nullity_witness_search(ex32_g(), seed=0))
+    skew = max_nullity_witness_search(ex32_g(), seed=0).matrix
     assert matrix_nullity(ex32_g(), skew, Rule.SKEW) == [2, 1]
 
 
@@ -281,7 +269,7 @@ def test_hollow_and_tensor_matrices_reach_the_tensor_values():
     # the base A of tensor.Zminus: weights in g.edges() order, nullity Z_minus
     for g, weights, z_minus in ((ex32_g(), (1, 1, 1, 1, 1, -1), 3), (ex32_gprime(), None, 1)):
         base = hollow_matrix(g, weights)
-        witness = MatrixCertificate.from_witness(max_nullity_witness_search(g, seed=0))
+        witness = max_nullity_witness_search(g, seed=0).matrix
         assert sum(matrix_nullity(g, base, Rule.STANDARD)) == z_minus
         assert sum(matrix_nullity(g, witness, Rule.SKEW)) == z_minus
         for r in (3, 4, 5):

@@ -261,6 +261,16 @@ def test_skew_nullity(capsys):
     assert payload["nullity"] == 1
     assert payload["certified"] is True
     assert payload["seed"] == 3
+    # the whole witness a user reads: each edge of fig1_left, i < j, with its
+    # entry in +-1..+-3 as a string, from a randomized (uncertified) search
+    code, out, _ = run(capsys, "skew-nullity", "fig1_left", "--seed", "0")
+    assert code == 0
+    edges = [[0, 1, "1"], [0, 5, "1"], [0, 7, "1"], [0, 9, "1"], [1, 2, "1"], [1, 6, "-2"],
+             [1, 7, "3"], [2, 3, "1"], [2, 6, "1"], [2, 8, "1"], [3, 4, "3"], [3, 7, "2"],
+             [3, 8, "-2"], [4, 5, "-2"], [4, 8, "3"], [4, 9, "1"], [5, 6, "-3"], [5, 9, "-3"],
+             [6, 9, "1"], [7, 8, "-1"]]
+    payload = {"certified": False, "edges": edges, "nullity": 2, "seed": 0}
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_paper_prefix(capsys):

@@ -716,8 +716,7 @@ def _certified_solves():
     # a lower-bound matrix; the pin is None where the plain solve already
     # stops at its first incumbent
     k3 = complete(3)
-    skew = [MatrixCertificate.from_witness(max_nullity_witness_search(g, seed=0))
-            for g in (ex32_g(), ex32_gprime())]
+    skew = [max_nullity_witness_search(g, seed=0).matrix for g in (ex32_g(), ex32_gprime())]
     hollow = [hollow_matrix(ex32_g(), (1, 1, 1, 1, 1, -1)), hollow_matrix(ex32_gprime())]
     mate = shrikhande()
     return [

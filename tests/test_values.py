@@ -9,10 +9,10 @@ record writes JSON types only, a graph anywhere inside it as its graph6.
 import copy
 import json
 import pickle
-from fractions import Fraction
 
 import pytest
 
+from zfforge.certify import MatrixCertificate
 from zfforge.claims import ClaimReport
 from zfforge.constructions import (ConstructionPair, Corollary52Report, Expected,
                                    GridShrikhandeReport, SwitchingPartition,
@@ -23,8 +23,8 @@ from zfforge.skew_rank import SkewWitness
 from zfforge.spectra import CharPoly, RegularCospectralReport
 
 _CERT = {"rule": Rule.STANDARD, "initial": (0,), "forces": ((0, 1),)}
-_SKEW = {"graph": path(2), "entries": ((0, 1, Fraction(1, 2)),), "achieved_nullity": 0,
-         "certified": True, "seed": 7}
+_SKEW = {"graph": path(2), "matrix": MatrixCertificate("skew", ((0, 2), (-2, 0))),
+         "achieved_nullity": 0, "certified": True, "seed": 7}
 _EXPECTED = {"name": "Z", "value": 3, "tag": "paper"}
 
 # (class, fields by keyword in declaration order, one field and another value for it)
@@ -38,7 +38,7 @@ SAMPLES = [
     (ForcingCertificate, _CERT, ("rule", Rule.PSD)),
     (ZfResult, {"value": 1, "witness": ForcingCertificate(**_CERT), "explored": 3},
      ("explored", 4)),
-    (SkewWitness, _SKEW, ("entries", ((0, 1, Fraction(1, 3)),))),
+    (SkewWitness, _SKEW, ("matrix", MatrixCertificate("skew", ((0, 3), (-3, 0))))),
     (ClaimReport,
      {"claim_id": "fig1.Z.left", "description": "d", "expected": 6, "tag": "paper",
       "computed": 6, "status": "pass", "certificates": {"graph6": "G?"}, "wall_time": 0.5},
@@ -157,7 +157,9 @@ def test_bad_constructor_arguments_raise_type_error(args, kwargs):
 # fields given as lists, nested ones included, for each class that holds sequences
 AS_LISTS = [
     (ForcingCertificate, {"rule": Rule.STANDARD, "initial": [0], "forces": [[0, 1], [1, 2]]}),
-    (SkewWitness, {"graph": path(3), "entries": [[0, 1, Fraction(1)], [1, 2, Fraction(-2)]],
+    # a witness's sequences are its matrix's rows: it hashes only if they are stored as tuples
+    (SkewWitness, {"graph": path(3),
+                   "matrix": MatrixCertificate("skew", [[0, 1, 0], [-1, 0, -2], [0, 2, 0]]),
                    "achieved_nullity": 1, "certified": True, "seed": None}),
     (SwitchingPartition, {"part_counts": [[1, None], [0, 2]], "outside_counts": [[3, [2, 0]]],
                           "issues": ["part 0 is empty"]}),
@@ -193,7 +195,7 @@ def test_lists_are_stored_as_tuples(cls, fields):
 def test_constructor_defaults():
     pair = ConstructionPair(path(3), path(3), "test", ())
     assert pair.expected == () and pair.parts == ()
-    witness = SkewWitness(path(2), ((0, 1, Fraction(1)),), 0, False)
+    witness = SkewWitness(path(2), MatrixCertificate("skew", ((0, 1), (-1, 0))), 0, False)
     assert witness.seed is None
 
 
